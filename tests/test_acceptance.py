@@ -7,6 +7,7 @@ the criteria that need it.
 """
 
 import heapq
+import json
 import time
 
 import numpy as np
@@ -18,6 +19,7 @@ from conexplore.connectivity import WeightFactors, fiedler, lambda2_gradient, la
 from conexplore.dynamics import ReferenceFilter
 from conexplore.planner import NoPath, astar
 from conexplore.world import ObstacleSet, SensingParams, rasterize
+from record_golden import GOLDEN_PATH, trial_key, trial_record
 
 SUITE = [
     ("scenarios/walled_15x20.json", (0, 4), tuple(range(20))),
@@ -75,6 +77,18 @@ def test_01_connectivity_invariant(suite_runs):
     assert len(trials) >= 60
     assert not violations, violations
     assert total_wall < 600.0, f"suite took {total_wall:.0f}s"
+
+
+def test_suite_matches_golden_record(suite_runs):
+    # bitwise record of every suite trial; rewrite it only with record_golden.py
+    trials, _ = suite_runs
+    golden = json.loads(GOLDEN_PATH.read_text())["trials"]
+    got = {
+        trial_key(t["name"], t["ncon"], t["seed"]): trial_record(t["metrics"], t["result"])
+        for t in trials
+    }
+    changed = sorted(k for k in golden.keys() | got.keys() if golden.get(k) != got.get(k))
+    assert not changed, changed
 
 
 def test_02_gradient_matches_finite_differences():
