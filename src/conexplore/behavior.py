@@ -1,15 +1,16 @@
-"""Per-robot roles: planning state machine, motion controller, election,
-traveling-efficiency consensus, and the adaptive downscaling gain."""
+"""Control laws on tracked path frames, traveling-efficiency consensus, and
+the per-robot role state machine with its flooding elections."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import netsim
 from .dynamics import saturate
-from .planner import SmoothPath, path_kinematics
+from .planner import SmoothPath
 
 CONNECTOR = "connector"
 PRIME = "prime_traveler"
@@ -57,18 +58,22 @@ class BehaviorParams:
                 raise ValueError("gains and radii must be positive")
 
 
-# -- scalar machinery --------------------------------------------------------
+# -- control laws ------------------------------------------------------------
+#
+# The motion laws act on the tracked path frame (q_gamma, v_gamma, a_gamma):
+# the virtual point on the path, its velocity and its acceleration, as
+# SmoothPath.track_frame returns them.
 
 
 def direction_alignment(x, y) -> float:
     """(1 + cos angle)/2 between two vectors; 1 if either is zero."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(y)
+    nx = math.sqrt(x.dot(x))
+    ny = math.sqrt(y.dot(y))
     if nx == 0.0 or ny == 0.0:
         return 1.0
-    c = float(x @ y) / (nx * ny)
+    c = x.dot(y) / (nx * ny)
     return 0.5 * (1.0 + max(-1.0, min(1.0, c)))
 
 
@@ -81,17 +86,12 @@ def ramp(x: float, x_c: float, x_M: float) -> float:
     return 0.5 + 0.5 * np.cos((x - x_c) / (x_M - x_c) * np.pi)
 
 
-def traveling_efficiency(q, v, path: SmoothPath, bp: BehaviorParams, s=None, taper_len=0.0):
+def traveling_efficiency(q, v, frame, bp: BehaviorParams) -> float:
     """Tracking quality in [0, 1] from blended position/velocity error."""
-    if path is None:
-        raise ValueError("traveling efficiency requires a path")
-    if s is None:
-        q_gamma, s = path.closest_point(q)
-    else:
-        q_gamma = path.point_at(s)
-    v_gamma, _ = path_kinematics(path, s, bp.v_cruise, taper_len)
-    e = (1.0 - bp.alpha) * float(np.linalg.norm(v_gamma - np.asarray(v, dtype=float)))
-    e += bp.alpha * float(np.linalg.norm(q_gamma - np.asarray(q, dtype=float)))
+    q_gamma, v_gamma, _ = frame
+    dv = v_gamma - v
+    dq = q_gamma - q
+    e = (1.0 - bp.alpha) * math.sqrt(dv.dot(dv)) + bp.alpha * math.sqrt(dq.dot(dq))
     return ramp(e, bp.x_c, bp.x_M)
 
 
@@ -100,39 +100,31 @@ def adaptive_gain(theta: float, lam_hat: float, sigma: float) -> float:
     return (1.0 - theta) * lam_hat**sigma + theta * (1.0 - (1.0 - lam_hat) ** sigma)
 
 
-def consensus_step(own: float, neighbor_values, k: float, dt: float) -> float:
-    """One Euler step of the disagreement law, clamped to [0, 1]."""
-    nv = np.asarray(list(neighbor_values), dtype=float)
-    new = own + k * dt * float((nv - own).sum())
-    return min(1.0, max(0.0, new))
+def consensus_step(lam, adj, k: float, dt: float):
+    """One Euler step of the disagreement law on every robot's estimate.
+
+    adj is the (N, N) neighbor weight matrix; the result is clamped to [0, 1].
+    """
+    lam = lam + k * dt * (adj @ lam - adj.sum(axis=1) * lam)
+    np.clip(lam, 0.0, 1.0, out=lam)
+    return lam
 
 
-def travel_force(q, v, path: SmoothPath, bp: BehaviorParams, f_max=np.inf, s=None, taper_len=None):
-    """PD + feedforward tracking force along the path, norm-saturated."""
-    if path is None or path.degenerate:
-        return np.zeros(3)
-    if taper_len is None:
-        taper_len = bp.R_z
-    if s is None:
-        q_gamma, s = path.closest_point(q)
-    else:
-        q_gamma = path.point_at(s)
-    v_gamma, a_gamma = path_kinematics(path, s, bp.v_cruise, taper_len)
-    f = a_gamma + bp.k_v * (v_gamma - np.asarray(v, dtype=float))
-    f += bp.k_p * (q_gamma - np.asarray(q, dtype=float))
-    return saturate(f, f_max)
+def travel_force(q, v, frame, bp: BehaviorParams, f_max=np.inf):
+    """PD + feedforward tracking force toward the path frame, norm-saturated."""
+    q_gamma, v_gamma, a_gamma = frame
+    return saturate(a_gamma + bp.k_v * (v_gamma - v) + bp.k_p * (q_gamma - q), f_max)
 
 
 def anchor_force(q, z, R_z: float, k_z: float):
     """Barrier force confining q inside the R_z ball around z."""
-    q = np.asarray(q, dtype=float)
-    z = np.asarray(z, dtype=float)
-    ell = float(np.linalg.norm(q - z))
+    d = np.asarray(q, dtype=float) - np.asarray(z, dtype=float)
+    ell = math.sqrt(d.dot(d))
     if ell >= R_z:
         raise AnchorViolation(f"distance {ell:.6g} >= R_z {R_z:.6g}")
     if ell == 0.0:
         return np.zeros(3)
-    return -k_z * np.tan(ell * np.pi / (2.0 * R_z)) * (q - z) / ell
+    return -k_z * np.tan(ell * np.pi / (2.0 * R_z)) * d / ell
 
 
 def elect_winner(candidates):
@@ -231,14 +223,12 @@ class RobotAgent:
         self.dwell_elapsed = 0.0
         self.path: SmoothPath | None = None
         self.s_track = 0.0
-        self.lam_hat = 0.0
         self.hosting = None
         self.open_window_end = -1
         self.busy_until = -1
         self.candidacy_sent = set()
         self.pending = None
         self.targets_done = 0
-        self.last_f_lambda = np.zeros(3)
 
     # startup ---------------------------------------------------------------
 
@@ -264,7 +254,6 @@ class RobotAgent:
             self.role = PRIME
         else:
             self.role = SECONDARY
-        self.lam_hat = 0.0
 
     # planning tick -----------------------------------------------------------
 

@@ -1,6 +1,9 @@
 """Command-line entry point: single runs, Monte Carlo batches, summaries.
 
-Exit codes: 0 success, 2 connectivity/anchor fault, 3 timeout-only failure.
+Exit codes: 0 success, 2 connectivity/anchor fault, 3 timeout-only failure,
+4 bad input: a scenario or batch file that is missing, malformed or lacks a
+key, a scenario that cannot be built, or a file that cannot be read or
+written.  Bad input prints one `error: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     mc = sub.add_parser("mc", help="run a Monte Carlo batch")
     mc.add_argument("--batch", required=True)
     mc.add_argument("--out", required=True)
-    mc.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; runs sequentially")
     mc.set_defaults(func=_cmd_mc)
 
     summ = sub.add_parser("summarize", help="five-number summary of a metrics CSV")
@@ -68,7 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (harness.ScenarioError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .world import ObstacleSet, SensingParams, segment_point_distances
+from .world import ObstacleSet, SensingParams
 
 _EIGENGAP_TOL = 1e-9
 
@@ -65,24 +65,6 @@ def ramp_up(x, a, b):
 
 def ramp_up_deriv(x, a, b):
     return -ramp_down_deriv(x, a, b)
-
-
-def _pair_obstacle_clearance(qi, qj, pts):
-    """(d_ijo, grad wrt qi, grad wrt qj) for the min segment-obstacle distance.
-
-    Gradients use the envelope theorem at the minimizing obstacle/parameter.
-    """
-    if len(pts) == 0:
-        return np.inf, np.zeros(3), np.zeros(3)
-    d, t = segment_point_distances(qi, qj, pts)
-    k = int(np.argmin(d))
-    dmin = float(d[k])
-    if dmin == 0.0:
-        return 0.0, np.zeros(3), np.zeros(3)
-    tk = float(t[k])
-    closest = qi + tk * (qj - qi)
-    u = (closest - pts[k]) / dmin
-    return dmin, (1.0 - tk) * u, tk * u
 
 
 def _leave_one_out(ru):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,18 +25,14 @@ class BodyParams:
 
 
 def saturate(f, f_max: float):
-    """Norm-saturate a force vector (or batch of row vectors)."""
+    """Norm-saturate a force vector."""
     f = np.asarray(f, dtype=float)
-    if f.ndim == 1:
-        n = np.linalg.norm(f)
-        return f if n <= f_max else f * (f_max / n)
-    n = np.linalg.norm(f, axis=1, keepdims=True)
-    scale = np.where(n > f_max, f_max / np.where(n == 0, 1.0, n), 1.0)
-    return f * scale
+    n = math.sqrt(f.dot(f))
+    return f if n <= f_max else f * (f_max / n)
 
 
-def integrate_step(q, v, f_travel, f_lambda, bp: BodyParams, dt: float):
-    """Semi-implicit Euler step of m v' = sat(f_travel) + f_lambda - b v.
+def integrate_step(q, v, f, bp: BodyParams, dt: float):
+    """Semi-implicit Euler step of m v' = f - b v over the total force f.
 
     Damping is treated implicitly for unconditional stability; position is
     advanced with the updated velocity.  Works on single vectors or (N, 3)
@@ -43,12 +40,11 @@ def integrate_step(q, v, f_travel, f_lambda, bp: BodyParams, dt: float):
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    f = saturate(f_travel, bp.f_max) + np.asarray(f_lambda, dtype=float)
-    if not np.all(np.isfinite(f)):
+    f = np.asarray(f, dtype=float)
+    if not math.isfinite(f.sum()):
         raise SimulationFault("non-finite force input")
-    v_new = (np.asarray(v, dtype=float) + dt * f / bp.mass) / (1.0 + dt * bp.damping / bp.mass)
-    q_new = np.asarray(q, dtype=float) + dt * v_new
-    return q_new, v_new
+    v_new = (v + (dt / bp.mass) * f) / (1.0 + dt * bp.damping / bp.mass)
+    return q + dt * v_new, v_new
 
 
 PAPER_FILTER_GAINS = (44.0, 707.0, 5090.0, 13692.0)
@@ -59,6 +55,8 @@ class ReferenceFilter:
 
     State holds position through jerk per axis; each step applies the exact
     zero-order-hold discretization of the linear system for the given dt.
+    The initial position fixes the command shape: one (3,) point or an (N, 3)
+    block of points filtered independently.
     """
 
     def __init__(self, gains=PAPER_FILTER_GAINS, initial_position=(0.0, 0.0, 0.0)):
@@ -77,8 +75,9 @@ class ReferenceFilter:
             raise ValueError("filter gains are not Hurwitz")
         self._A = A
         self._B = np.array([0.0, 0.0, 0.0, k4])
-        self.state = np.zeros((4, 3))
-        self.state[0] = np.asarray(initial_position, dtype=float)
+        p0 = np.asarray(initial_position, dtype=float)
+        self.state = np.zeros((4, *p0.shape))
+        self.state[0] = p0
         self._cache_dt = None
         self._Ad = None
         self._Bd = None
@@ -96,9 +95,7 @@ class ReferenceFilter:
             raise ValueError("dt must be positive")
         Ad, Bd = self._discretize(dt)
         cmd = np.asarray(q_cmd, dtype=float)
-        self.state = Ad @ self.state + np.outer(Bd, cmd)
+        x = self.state
+        self.state = (Ad @ x.reshape(4, -1)).reshape(x.shape) + np.multiply.outer(Bd, cmd)
         return self.state[0].copy(), self.state[1].copy(), self.state[2].copy()
 
-
-def filter_step(rf: ReferenceFilter, q_cmd, dt: float):
-    return rf.step(q_cmd, dt)

@@ -103,15 +103,31 @@ def _sample_targets(cfg, obstacles, grid, bounds, sensing, rng):
     raise ScenarioError("target sampling failed: region too constrained")
 
 
+def _read_json(path):
+    """Parsed JSON file; malformed JSON raises ScenarioError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ScenarioError(f"{path}: malformed JSON: {exc}") from exc
+
+
 def load_scenario(path, seed=None, connectors=None) -> Scenario:
     """Build a Scenario from a JSON file.
 
     Concrete files list robots explicitly; template files carry spawn points
     and explorer target counts, and require a seed for target randomization.
     The same seed yields the same targets for every connector count.
+    Malformed JSON or a missing key raises ScenarioError.
     """
-    with open(path) as fh:
-        cfg = json.load(fh)
+    cfg = _read_json(path)
+    try:
+        return _build_scenario(cfg, path, seed, connectors)
+    except KeyError as exc:
+        raise ScenarioError(f"{path}: missing key {exc}") from exc
+
+
+def _build_scenario(cfg, path, seed, connectors) -> Scenario:
     bounds = (cfg["bounds"]["min"], cfg["bounds"]["max"])
     obst_cfg = cfg.get("obstacles", {})
     obstacles = ObstacleSet.from_primitives(
@@ -208,11 +224,13 @@ def run_montecarlo(batch_path, out_csv=None):
     columns followed by the TrialMetrics fields.  Identical seeds reuse
     identical target configurations across connector counts.
     """
-    with open(batch_path) as fh:
-        batch = json.load(fh)
-    scenario_path = batch["scenario"]
-    connector_counts = batch["connectors"]
-    seeds = batch["seeds"]
+    batch = _read_json(batch_path)
+    try:
+        scenario_path = batch["scenario"]
+        connector_counts = batch["connectors"]
+        seeds = batch["seeds"]
+    except KeyError as exc:
+        raise ScenarioError(f"{batch_path}: missing key {exc}") from exc
     rows = []
     faults = 0
     timeouts = 0

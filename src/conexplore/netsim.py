@@ -17,7 +17,6 @@ ELECTION_OPEN = "election_open"
 WINNER_ANNOUNCE = "winner_announce"
 PRESENCE_QUERY = "presence_query"
 PRESENCE_REPLY = "presence_reply"
-LAMBDA_HAT = "lambda_hat"
 
 
 @dataclass(frozen=True)

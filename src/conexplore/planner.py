@@ -279,23 +279,7 @@ class SmoothPath:
         """Fused high-rate query: windowed closest point plus virtual-point
         kinematics at that point.  Returns (q_gamma, s, v_gamma, a_gamma)."""
         p, s = self.track(q, s_hint, window)
-        if self.degenerate:
-            return p, s, np.zeros(3), np.zeros(3)
-        i = int(self._s.searchsorted(s))
-        i = min(max(i, 1), len(self._s) - 1)
-        s0 = self._s[i - 1]
-        s1 = self._s[i]
-        w = 0.0 if s1 == s0 else (s - s0) / (s1 - s0)
-        t = (1.0 - w) * self._tan[i - 1] + w * self._tan[i]
-        nt = np.sqrt((t * t).sum())
-        if nt > 0:
-            t = t / nt
-        c = (1.0 - w) * self._curv[i - 1] + w * self._curv[i]
-        remaining = self.total_length - s
-        f, dfds = taper_factor(remaining, taper_len)
-        speed = v_cruise * f
-        v = speed * t
-        a = speed * speed * c + (v_cruise * dfds) * speed * t
+        v, a = path_kinematics(self, s, v_cruise, taper_len)
         return p, s, v, a
 
     def remaining_length(self, s: float) -> float:
@@ -303,22 +287,29 @@ class SmoothPath:
             raise ValueError(f"arc length {s} outside [0, {self.total_length}]")
         return max(0.0, self.total_length - s)
 
+    def _locate(self, s: float):
+        """Table row i and weight w with s in [0, total_length] between rows i - 1 and i."""
+        i = int(self._s.searchsorted(s))
+        i = min(max(i, 1), len(self._s) - 1)
+        s0 = self._s[i - 1]
+        s1 = self._s[i]
+        return i, 0.0 if s1 == s0 else (s - s0) / (s1 - s0)
+
+    def _tangent_curvature(self, i: int, w: float):
+        """(unit tangent, curvature vector) at weight w between rows i - 1 and i."""
+        t = (1.0 - w) * self._tan[i - 1] + w * self._tan[i]
+        nt = np.sqrt((t * t).sum())
+        if nt > 0:
+            t = t / nt
+        return t, (1.0 - w) * self._curv[i - 1] + w * self._curv[i]
+
     def frame_at(self, s: float):
         """(point, unit tangent, curvature vector) interpolated from the table."""
         if self.degenerate:
             return self.start.copy(), np.zeros(3), np.zeros(3)
-        s = float(np.clip(s, 0.0, self.total_length))
-        i = int(np.searchsorted(self._s, s))
-        i = min(max(i, 1), len(self._s) - 1)
-        s0, s1 = self._s[i - 1], self._s[i]
-        w = 0.0 if s1 == s0 else (s - s0) / (s1 - s0)
-        p = (1 - w) * self._samples[i - 1] + w * self._samples[i]
-        t = (1 - w) * self._tan[i - 1] + w * self._tan[i]
-        n = np.linalg.norm(t)
-        if n > 0:
-            t = t / n
-        c = (1 - w) * self._curv[i - 1] + w * self._curv[i]
-        return p, t, c
+        i, w = self._locate(min(max(s, 0.0), self.total_length))
+        p = (1.0 - w) * self._samples[i - 1] + w * self._samples[i]
+        return (p, *self._tangent_curvature(i, w))
 
 
 def taper_factor(remaining: float, taper_len: float):
@@ -347,10 +338,11 @@ def path_kinematics(path: SmoothPath, s: float, v_cruise: float, taper_len: floa
         raise ValueError("v_cruise must be positive")
     if path.degenerate:
         return np.zeros(3), np.zeros(3)
-    _, tan, curv = path.frame_at(s)
-    remaining = path.total_length - np.clip(s, 0.0, path.total_length)
+    s = min(max(s, 0.0), path.total_length)
+    tan, curv = path._tangent_curvature(*path._locate(s))
+    remaining = path.total_length - s
     f, dfds = taper_factor(remaining, taper_len)
     speed = v_cruise * f
     v = speed * tan
-    a = speed**2 * curv + (v_cruise * dfds) * speed * tan
+    a = speed * speed * curv + (v_cruise * dfds) * speed * tan
     return v, a

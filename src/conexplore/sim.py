@@ -26,11 +26,14 @@ from .behavior import (
     RobotAgent,
     adaptive_gain,
     anchor_force,
-    ramp,
+    consensus_step,
+    direction_alignment,
     run_flooding_election,
+    travel_force,
+    traveling_efficiency,
 )
 from .connectivity import ConnectivityParams, ConnectivityViolation, evaluate_field
-from .dynamics import BodyParams, ReferenceFilter, SimulationFault
+from .dynamics import BodyParams, ReferenceFilter, SimulationFault, integrate_step
 from .planner import NoPath, OccupiedEndpoint, SmoothPath, astar
 from .world import ObstacleSet, OccupancyGrid, SensingParams, adjacency
 
@@ -44,7 +47,6 @@ class Monitors:
     degenerate_ticks: int = 0
     targets_planned: int = 0
     targets_done: int = 0
-    replans: int = 0
 
 
 @dataclass
@@ -106,13 +108,10 @@ class Simulation:
         self.mon = Monitors()
         self._primeless_streak = 0
         self._path_dumps = []
-        self._robot_rows = []
         self._conn_rows = []
         self._iu = np.triu_indices(self.n, 1)
         self._frame_cache = {}
-        self._filters = None
-        if use_filter:
-            self._filters = [ReferenceFilter(initial_position=self.q[i]) for i in range(self.n)]
+        self._filter = ReferenceFilter(initial_position=self.q) if use_filter else None
 
     # -- planning helpers -----------------------------------------------------
 
@@ -163,7 +162,6 @@ class Simulation:
         self.startup()
         n = self.n
         dt = self.dt
-        bp = self.bp
         body = self.body
         traveled = np.zeros(n)
         explorer = np.array([a.is_explorer for a in self.agents])
@@ -195,6 +193,7 @@ class Simulation:
 
         tick = 0
         max_ticks = int(round(self.timeout / dt))
+        trace_fh = self._open_robot_trace() if self.trace_dir else None
         try:
             while not completed and tick < max_ticks:
                 if tick % self.FIELD_EVERY == 0:
@@ -213,7 +212,7 @@ class Simulation:
                     max_stretch = max(max_stretch, self._stretch(explorer))
                     if field_state.degenerate:
                         self.mon.degenerate_ticks += 1
-                    if self._conn_rows is not None and self.trace_dir:
+                    if self.trace_dir:
                         self._conn_rows.append(
                             (
                                 self.t,
@@ -232,17 +231,9 @@ class Simulation:
                         completion_time = self.t
                         break
 
-                # inline semi-implicit Euler (matches dynamics.integrate_step;
-                # travel forces are already saturated per robot)
-                f_travel = self._control_forces(f_lambda, tick)
-                f_total = f_travel + f_lambda
-                self.v = (self.v + (dt / body.mass) * f_total) / (
-                    1.0 + dt * body.damping / body.mass
-                )
-                dq = dt * self.v
-                self.q = self.q + dq
-                if tick % self.FIELD_EVERY == 0 and not np.all(np.isfinite(self.q)):
-                    raise SimulationFault("non-finite state")
+                f_total = self._control_forces(f_lambda, tick) + f_lambda
+                self.q, self.v = integrate_step(self.q, self.v, f_total, body, dt)
+                dq = dt * self.v  # the position step just taken
                 traveled += np.sqrt((dq * dq).sum(axis=1))
                 min_rr = min(min_rr, self._min_pairwise())
                 for ag in self.agents:
@@ -250,11 +241,14 @@ class Simulation:
                         ag.dwell_elapsed += dt
                 self.t += dt
                 tick += 1
-                if self.trace_dir:
+                if trace_fh is not None:
                     self._trace_tick()
         except (ConnectivityViolation, AnchorViolation, SimulationFault) as exc:
             fault = f"{type(exc).__name__}: {exc}"
             self._log_event(-1, "fault", fault)
+        finally:
+            if trace_fh is not None:
+                trace_fh.close()
 
         self.mon.targets_done = sum(a.targets_done for a in self.agents)
         if self.trace_dir:
@@ -305,20 +299,18 @@ class Simulation:
             self._primeless_streak = 0
 
     def _control_forces(self, f_lambda, tick=0):
-        n = self.n
+        """Per-robot control forces for one tick; advances the consensus on
+        the prime's traveling efficiency and pins the prime's own estimate."""
         bp = self.bp
-        f = np.zeros((n, 3))
-        # consensus over the current neighbor graph, then prime pinning
-        adj_f = self._adj_f
-        lam = self.lam_hat
-        lam = lam + bp.k_consensus * self.dt * (adj_f @ lam - adj_f.sum(axis=1) * lam)
-        np.clip(lam, 0.0, 1.0, out=lam)
+        f = np.zeros((self.n, 3))
+        lam = consensus_step(self.lam_hat, self._adj_f, bp.k_consensus, self.dt)
         for i, ag in enumerate(self.agents):
             role = ag.role
             if role == CONNECTOR:
                 continue
+            q = self.q[i]
             if role == ANCHOR or (role == PRIME and ag.path is None and ag.z is not None):
-                f[i] = anchor_force(self.q[i], ag.z, bp.R_z, bp.k_z)
+                f[i] = anchor_force(q, ag.z, bp.R_z, bp.k_z)
                 if role == PRIME:
                     lam[i] = 1.0  # hosting at the target: report full efficiency
                 continue
@@ -326,35 +318,19 @@ class Simulation:
             if path is None or path.degenerate:
                 continue
             # refresh the tracked path frame at 250 Hz and hold it in between;
-            # feedback terms below still use the current q and v every tick
+            # the control laws still use the current q and v every tick
             cache = self._frame_cache.get(i)
             if cache is None or cache[0] is not path or tick % 4 == 0:
-                p, s, v_g, a_g = path.track_frame(
-                    self.q[i], ag.s_track, 0.25, bp.v_cruise, bp.R_z
-                )
-                ag.s_track = s
-                self._frame_cache[i] = (path, p, v_g, a_g)
-            else:
-                _, p, v_g, a_g = cache
-            dv = v_g - self.v[i]
-            dq = p - self.q[i]
-            ft = a_g + bp.k_v * dv + bp.k_p * dq
-            nf = np.sqrt(ft @ ft)
-            if nf > self.body.f_max:
-                ft = ft * (self.body.f_max / nf)
+                p, ag.s_track, v_g, a_g = path.track_frame(q, ag.s_track, 0.25, bp.v_cruise, bp.R_z)
+                cache = self._frame_cache[i] = (path, (p, v_g, a_g))
+            frame = cache[1]
+            v = self.v[i]
+            ft = travel_force(q, v, frame, bp, self.body.f_max)
             if role == PRIME:
-                e = (1.0 - bp.alpha) * np.sqrt(dv @ dv) + bp.alpha * np.sqrt(dq @ dq)
-                lam[i] = ramp(e, bp.x_c, bp.x_M)
+                lam[i] = traveling_efficiency(q, v, frame, bp)
                 f[i] = ft
             else:
-                fl = f_lambda[i]
-                na = np.sqrt(fl @ fl)
-                nb = np.sqrt(ft @ ft)
-                if na == 0.0 or nb == 0.0:
-                    theta = 1.0
-                else:
-                    c = (fl @ ft) / (na * nb)
-                    theta = 0.5 * (1.0 + max(-1.0, min(1.0, c)))
+                theta = direction_alignment(f_lambda[i], ft)
                 f[i] = adaptive_gain(theta, lam[i], bp.sigma) * ft
         self.lam_hat = lam
         return f
@@ -389,23 +365,30 @@ class Simulation:
 
     # -- tracing -------------------------------------------------------------------
 
+    def _open_robot_trace(self):
+        """Open robots.csv, written tick by tick as the run proceeds."""
+        os.makedirs(self.trace_dir, exist_ok=True)
+        fh = open(os.path.join(self.trace_dir, "robots.csv"), "w", newline="")
+        self._robots_csv = csv.writer(fh)
+        head = ["t", "robot_id", "x", "y", "z", "vx", "vy", "vz", "role_code"]
+        if self._filter is not None:
+            head += ["xf", "yf", "zf", "vxf", "vyf", "vzf"]
+        self._robots_csv.writerow(head)
+        return fh
+
     def _trace_tick(self):
-        for i in range(self.n):
-            row = [self.t, i, *self.q[i], *self.v[i], ROLE_CODES[self.agents[i].role]]
-            if self._filters is not None:
-                qf, qdf, _ = self._filters[i].step(self.q[i], self.dt)
-                row.extend([*qf, *qdf])
-            self._robot_rows.append(row)
+        q = self.q.tolist()
+        v = self.v.tolist()
+        rows = [
+            [self.t, i, *q[i], *v[i], ROLE_CODES[ag.role]] for i, ag in enumerate(self.agents)
+        ]
+        if self._filter is not None:
+            qf, qdf, _ = self._filter.step(self.q, self.dt)
+            for row, a, b in zip(rows, qf.tolist(), qdf.tolist()):
+                row += a + b
+        self._robots_csv.writerows(rows)
 
     def _write_traces(self):
-        os.makedirs(self.trace_dir, exist_ok=True)
-        head = ["t", "robot_id", "x", "y", "z", "vx", "vy", "vz", "role_code"]
-        if self._filters is not None:
-            head += ["xf", "yf", "zf", "vxf", "vyf", "vzf"]
-        with open(os.path.join(self.trace_dir, "robots.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(head)
-            w.writerows(self._robot_rows)
         with open(os.path.join(self.trace_dir, "connectivity.csv"), "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "lambda2", "num_edges", "min_interrobot_dist", "min_obstacle_clearance"])

@@ -101,18 +101,6 @@ class ObstacleSet:
         d, _ = self._tree.query(pts)
         return np.asarray(d, dtype=float)
 
-    def local_view(self, q, R_m: float) -> np.ndarray:
-        """Obstacle points within R_m of q (the robot's legal obstacle view)."""
-        if self._tree is None:
-            return self.points
-        idx = self._tree.query_ball_point(np.asarray(q, dtype=float), R_m)
-        return self.points[idx]
-
-    def local_view_indices(self, q, R_m: float) -> list:
-        if self._tree is None:
-            return []
-        return self._tree.query_ball_point(np.asarray(q, dtype=float), R_m)
-
 
 def segment_point_distances(qi, qj, points):
     """Distance from each point to the segment qi-qj, with the segment parameter.

@@ -34,11 +34,9 @@ def trial_key(name, ncon, seed) -> str:
 
 def trial_record(metrics, result) -> dict:
     events = json.dumps([[_exact(x) for x in e] for e in result.events])
-    monitors = dataclasses.asdict(result.monitors)
-    monitors.pop("replans", None)
     return {
         "metrics": [_exact(v) for v in metrics.row()],
-        "monitors": monitors,
+        "monitors": dataclasses.asdict(result.monitors),
         "events_sha1": hashlib.sha1(events.encode()).hexdigest(),
         "traveled_sha1": hashlib.sha1(result.traveled.tobytes()).hexdigest(),
     }

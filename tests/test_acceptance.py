@@ -216,16 +216,11 @@ def test_06_connector_benefit_walled(suite_runs):
 def test_07_consensus_convergence():
     def run(adj, prime, value, k=1.0, dt=1e-3, horizon=20.0):
         n = adj.shape[0]
-        vals = [value if i == prime else 0.0 for i in range(n)]
+        adj_f = adj.astype(float)
+        vals = np.array([value if i == prime else 0.0 for i in range(n)])
         for _ in range(int(round(horizon / dt))):
-            new = []
-            for i in range(n):
-                if i == prime:
-                    new.append(value)
-                    continue
-                nbrs = [vals[j] for j in range(n) if adj[i, j]]
-                new.append(consensus_step(vals[i], nbrs, k, dt))
-            vals = new
+            vals = consensus_step(vals, adj_f, k, dt)
+            vals[prime] = value
         return max(abs(v - value) for v in vals)
 
     tri = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=bool)

@@ -22,9 +22,18 @@ from conexplore.behavior import (
     travel_force,
     traveling_efficiency,
 )
-from conexplore.planner import SmoothPath
+from conexplore.planner import SmoothPath, path_kinematics
 
 BP = BehaviorParams(R_z=1.0, v_cruise=1.0, x_c=0.1, x_M=0.6)
+
+
+def frame(path, q, bp=BP, s=None):
+    """Tracked path frame (q_gamma, v_gamma, a_gamma) at s, or at the closest point to q."""
+    if s is None:
+        _, s = path.closest_point(q)
+    v_gamma, a_gamma = path_kinematics(path, s, bp.v_cruise, bp.R_z)
+    return path.point_at(s), v_gamma, a_gamma
+
 
 unit_float = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -133,22 +142,20 @@ class TestTravelingEfficiency:
     def test_perfect_tracking_is_one(self):
         q = self.PATH.point_at(3.0)
         v = [BP.v_cruise, 0.0, 0.0]
-        assert traveling_efficiency(q, v, self.PATH, BP, s=3.0) == 1.0
+        assert traveling_efficiency(q, v, frame(self.PATH, q, s=3.0), BP) == 1.0
 
     def test_large_error_is_zero(self):
-        assert traveling_efficiency([0, 5, 0], [0, 0, 0], self.PATH, BP) == 0.0
+        q = [0, 5, 0]
+        assert traveling_efficiency(q, [0, 0, 0], frame(self.PATH, q), BP) == 0.0
 
     def test_position_velocity_blend(self):
         # alpha=0.5 weights 0.3 m position error and 0.3 m/s speed error equally
         bp = BehaviorParams(x_c=0.1, x_M=0.6, alpha=0.5)
-        lam_pos = traveling_efficiency([3.0, 0.3, 0.0], [bp.v_cruise, 0, 0], self.PATH, bp, s=3.0)
-        lam_vel = traveling_efficiency([3.0, 0.0, 0.0], [bp.v_cruise - 0.3, 0, 0], self.PATH, bp, s=3.0)
+        fr = frame(self.PATH, None, bp, s=3.0)
+        lam_pos = traveling_efficiency([3.0, 0.3, 0.0], [bp.v_cruise, 0, 0], fr, bp)
+        lam_vel = traveling_efficiency([3.0, 0.0, 0.0], [bp.v_cruise - 0.3, 0, 0], fr, bp)
         assert lam_pos == pytest.approx(lam_vel)
         assert 0.0 < lam_pos < 1.0
-
-    def test_requires_path(self):
-        with pytest.raises(ValueError):
-            traveling_efficiency([0, 0, 0], [0, 0, 0], None, BP)
 
 
 class TestAdaptiveGain:
@@ -182,50 +189,56 @@ class TestAdaptiveGain:
         assert rho <= adaptive_gain(1.0, lam, 3.0) + 1e-12
 
 
+def own_step(own, neighbor_values, k, dt):
+    """consensus_step's new value for robot 0 of a star joining it to its neighbors."""
+    lam = np.array([own, *neighbor_values], dtype=float)
+    adj = np.zeros((len(lam), len(lam)))
+    adj[0, 1:] = adj[1:, 0] = 1.0
+    return consensus_step(lam, adj, k, dt)[0]
+
+
 class TestConsensusStep:
     def test_fixed_point_at_agreement(self):
-        assert consensus_step(0.4, [0.4, 0.4], k=1.0, dt=0.1) == pytest.approx(0.4)
+        assert own_step(0.4, [0.4, 0.4], k=1.0, dt=0.1) == pytest.approx(0.4)
 
     def test_moves_toward_neighbors(self):
-        up = consensus_step(0.2, [0.8], k=1.0, dt=0.1)
+        up = own_step(0.2, [0.8], k=1.0, dt=0.1)
         assert 0.2 < up < 0.8
 
     def test_clamped(self):
-        assert consensus_step(0.95, [5.0, 5.0], k=10.0, dt=1.0) == 1.0
-        assert consensus_step(0.05, [-5.0], k=10.0, dt=1.0) == 0.0
+        assert own_step(0.95, [5.0, 5.0], k=10.0, dt=1.0) == 1.0
+        assert own_step(0.05, [-5.0], k=10.0, dt=1.0) == 0.0
 
     def test_no_neighbors_no_change(self):
-        assert consensus_step(0.3, [], k=1.0, dt=0.1) == 0.3
+        assert own_step(0.3, [], k=1.0, dt=0.1) == 0.3
 
     def test_line_converges_to_pinned_value(self):
         # robot 0 pins 0.7; the rest relax over a line graph
-        vals = [0.7, 0.0, 0.0, 0.0]
+        vals = np.array([0.7, 0.0, 0.0, 0.0])
+        adj = line_graph(4).astype(float)
         dt, k = 0.01, 1.0
         for _ in range(5000):
-            new = [0.7]
-            for i in (1, 2, 3):
-                nbrs = [vals[i - 1]] + ([vals[i + 1]] if i < 3 else [])
-                new.append(consensus_step(vals[i], nbrs, k, dt))
-            vals = new
+            vals = consensus_step(vals, adj, k, dt)
+            vals[0] = 0.7
         assert max(abs(v - 0.7) for v in vals) < 1e-3
 
 
 class TestTravelForce:
     PATH = SmoothPath([[0, 0, 0], [10, 0, 0]])
 
-    def test_zero_on_missing_path(self):
-        assert np.array_equal(travel_force([0, 0, 0], [0, 0, 0], None, BP), np.zeros(3))
-
     def test_pulls_back_to_path(self):
-        f = travel_force([3.0, 1.0, 0.0], [BP.v_cruise, 0, 0], self.PATH, BP, s=3.0)
+        q = [3.0, 1.0, 0.0]
+        f = travel_force(q, [BP.v_cruise, 0, 0], frame(self.PATH, q, s=3.0), BP)
         assert f[1] < 0.0
 
     def test_feedforward_only_on_track(self):
-        f = travel_force([3.0, 0.0, 0.0], [BP.v_cruise, 0, 0], self.PATH, BP, s=3.0)
+        q = [3.0, 0.0, 0.0]
+        f = travel_force(q, [BP.v_cruise, 0, 0], frame(self.PATH, q, s=3.0), BP)
         assert np.allclose(f, 0.0, atol=1e-9)
 
     def test_saturation_respected(self):
-        f = travel_force([0.0, 50.0, 0.0], [0, 0, 0], self.PATH, BP, f_max=2.0)
+        q = [0.0, 50.0, 0.0]
+        f = travel_force(q, [0, 0, 0], frame(self.PATH, q), BP, f_max=2.0)
         assert np.linalg.norm(f) == pytest.approx(2.0)
 
 

@@ -33,13 +33,6 @@ class TestSaturate:
     def test_zero_vector(self):
         assert np.array_equal(saturate(np.zeros(3), 10.0), np.zeros(3))
 
-    def test_batch_rows_independent(self):
-        f = np.array([[30.0, 40.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        out = saturate(f, 10.0)
-        assert np.allclose(out[0], [6.0, 8.0, 0.0])
-        assert np.array_equal(out[1], f[1])
-        assert np.array_equal(out[2], f[2])
-
 
 class TestIntegrateStep:
     def test_free_decay_closed_form(self):
@@ -48,7 +41,7 @@ class TestIntegrateStep:
         v = np.array([2.0, 0.0, 0.0])
         q = np.zeros(3)
         for _ in range(1000):
-            q, v = integrate_step(q, v, np.zeros(3), np.zeros(3), BP, dt)
+            q, v = integrate_step(q, v, np.zeros(3), BP, dt)
         expect = 2.0 / (1.0 + dt * BP.damping / BP.mass) ** 1000
         assert v[0] == pytest.approx(expect, rel=1e-12)
         # close to the continuous exponential at this step size
@@ -58,14 +51,8 @@ class TestIntegrateStep:
         q, v = np.zeros(3), np.zeros(3)
         f = np.array([8.0, 0.0, 0.0])
         for _ in range(5000):
-            q, v = integrate_step(q, v, f, np.zeros(3), BP, 1e-3)
+            q, v = integrate_step(q, v, f, BP, 1e-3)
         assert v[0] == pytest.approx(8.0 / BP.damping, rel=1e-6)
-
-    def test_travel_force_saturated_field_force_not(self):
-        _, v1 = integrate_step(np.zeros(3), np.zeros(3), [100.0, 0, 0], np.zeros(3), BP, 1e-3)
-        _, v2 = integrate_step(np.zeros(3), np.zeros(3), np.zeros(3), [100.0, 0, 0], BP, 1e-3)
-        assert v2[0] > v1[0]
-        assert v1[0] == pytest.approx(BP.f_max * 1e-3 / (1 + 4e-3))
 
     def test_batch_matches_per_row(self):
         rng = np.random.default_rng(6)
@@ -73,19 +60,19 @@ class TestIntegrateStep:
         v = rng.random((4, 3))
         ft = rng.random((4, 3)) * 20
         fl = rng.random((4, 3))
-        qb, vb = integrate_step(q, v, ft, fl, BP, 1e-3)
+        qb, vb = integrate_step(q, v, ft + fl, BP, 1e-3)
         for i in range(4):
-            qi, vi = integrate_step(q[i], v[i], ft[i], fl[i], BP, 1e-3)
+            qi, vi = integrate_step(q[i], v[i], ft[i] + fl[i], BP, 1e-3)
             assert np.allclose(qb[i], qi)
             assert np.allclose(vb[i], vi)
 
     def test_nonfinite_force_faults(self):
         with pytest.raises(SimulationFault):
-            integrate_step(np.zeros(3), np.zeros(3), [np.nan, 0, 0], np.zeros(3), BP, 1e-3)
+            integrate_step(np.zeros(3), np.zeros(3), [np.nan, 0, 0], BP, 1e-3)
 
     def test_bad_dt(self):
         with pytest.raises(ValueError):
-            integrate_step(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), BP, 0.0)
+            integrate_step(np.zeros(3), np.zeros(3), np.zeros(3), BP, 0.0)
 
     def test_energy_dissipates_without_input(self):
         rng = np.random.default_rng(1)
@@ -93,7 +80,7 @@ class TestIntegrateStep:
         q = np.zeros(3)
         e_prev = 0.5 * BP.mass * v @ v
         for _ in range(100):
-            q, v = integrate_step(q, v, np.zeros(3), np.zeros(3), BP, 1e-3)
+            q, v = integrate_step(q, v, np.zeros(3), BP, 1e-3)
             e = 0.5 * BP.mass * v @ v
             assert e < e_prev
             e_prev = e

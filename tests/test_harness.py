@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +187,32 @@ class TestCli:
         rc = cli.main(["mc", "--batch", str(bp), "--out", str(out)])
         assert rc == 0
         assert "1 trials" in capsys.readouterr().out
+
+    def test_batch_with_too_many_connectors_exits_4(self, tmp_path, capsys):
+        bp = tmp_path / "b.json"
+        bp.write_text(json.dumps({"scenario": EMPTY_SCENARIO, "connectors": [99], "seeds": [0]}))
+        rc = cli.main(["mc", "--batch", str(bp), "--out", str(tmp_path / "o.csv")])
+        assert rc == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_truncated_json_exits_4(self, tmp_path, capsys):
+        text = Path("scenarios/single_robot.json").read_text()
+        sp = tmp_path / "s.json"
+        sp.write_text(text[: len(text) // 2])
+        rc = cli.main(["run", "--scenario", str(sp)])
+        assert rc == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {sp}: malformed JSON")
+
+    def test_missing_file_and_key_exit_4(self, tmp_path, capsys):
+        assert cli.main(["run", "--scenario", str(tmp_path / "absent.json")]) == 4
+        sp = tmp_path / "s.json"
+        sp.write_text(json.dumps({"name": "no_bounds"}))
+        assert cli.main(["run", "--scenario", str(sp)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("error: ") and "No such file" in err[0]
+        assert err[1] == f"error: {sp}: missing key 'bounds'"
 
     def test_missing_subcommand_errors(self):
         with pytest.raises(SystemExit):

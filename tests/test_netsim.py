@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conexplore.netsim import LAMBDA_HAT, Message, Network, flood
+from conexplore.netsim import CANDIDACY, Message, Network, flood
 
 
 def line_graph(n):
@@ -36,8 +36,8 @@ def random_connected(rng, n):
 
 class TestMessage:
     def test_key_identity(self):
-        m = Message(src=2, kind=LAMBDA_HAT, payload=(0.5,), ttl=3, seq=7)
-        assert m.key == (2, LAMBDA_HAT, 7)
+        m = Message(src=2, kind=CANDIDACY, payload=(0.5,), ttl=3, seq=7)
+        assert m.key == (2, CANDIDACY, 7)
 
 
 class TestNetwork:
