@@ -4,10 +4,12 @@
 
 Runs the 60 `SUITE` trials of test_acceptance.py and records, per trial, the
 TrialMetrics values (floats as float.hex), the Monitors fields, a sha1 of the
-event list and a sha1 of the traveled-distance bytes.  The header names the
+event list, a sha1 of the traveled-distance bytes and a sha1 of the spawn
+points and target lists the scenario was built with.  The header names the
 Python, numpy, scipy and BLAS versions the record was taken with.  Prints the
-trials whose record changed against the file it replaces.  This script is the
-only writer of the file; test_acceptance.py compares the suite against it.
+trials whose record changed against the file it replaces, with the fields
+that changed.  This script is the only writer of the file; test_acceptance.py
+compares the suite against it.
 """
 
 from __future__ import annotations
@@ -32,14 +34,35 @@ def trial_key(name, ncon, seed) -> str:
     return f"{name}/{ncon}/{seed}"
 
 
-def trial_record(metrics, result) -> dict:
+def _sha1(text: str) -> str:
+    return hashlib.sha1(text.encode()).hexdigest()
+
+
+def trial_record(robots, metrics, result) -> dict:
+    """Record of one trial; robots is the Scenario's (spawn, targets) list."""
     events = json.dumps([[_exact(x) for x in e] for e in result.events])
+    targets = json.dumps(
+        [[[_exact(float(x)) for x in q], [[_exact(float(x)) for x in z] for z, _ in tl]] for q, tl in robots]
+    )
     return {
         "metrics": [_exact(v) for v in metrics.row()],
         "monitors": dataclasses.asdict(result.monitors),
-        "events_sha1": hashlib.sha1(events.encode()).hexdigest(),
+        "events_sha1": _sha1(events),
         "traveled_sha1": hashlib.sha1(result.traveled.tobytes()).hexdigest(),
+        "targets_sha1": _sha1(targets),
     }
+
+
+def changed_fields(old: dict, new: dict) -> dict:
+    """{trial: [field, ...]} for every trial whose record differs."""
+    out = {}
+    for k in sorted(old.keys() | new.keys()):
+        a, b = old.get(k), new.get(k)
+        if a is None or b is None:
+            out[k] = ["(added)" if a is None else "(removed)"]
+        elif a != b:
+            out[k] = sorted(f for f in a.keys() | b.keys() if a.get(f) != b.get(f))
+    return out
 
 
 def environment() -> dict:
@@ -67,17 +90,17 @@ def main() -> int:
             for seed in seeds:
                 sc = harness.load_scenario(path, seed=seed, connectors=ncon)
                 metrics, result = harness.run_trial(sc)
-                trials[trial_key(sc.name, ncon, seed)] = trial_record(metrics, result)
+                trials[trial_key(sc.name, ncon, seed)] = trial_record(sc.robots, metrics, result)
     old = json.loads(GOLDEN_PATH.read_text())["trials"] if GOLDEN_PATH.exists() else None
     with open(GOLDEN_PATH, "w") as fh:
         json.dump({"environment": environment(), "trials": trials}, fh, indent=1)
         fh.write("\n")
     print(f"{len(trials)} trials recorded to {GOLDEN_PATH.name}")
     if old is not None:
-        changed = [k for k in trials.keys() | old.keys() if old.get(k) != trials.get(k)]
+        changed = changed_fields(old, trials)
         print(f"{len(changed)} changed")
-        for k in sorted(changed):
-            print(f"changed: {k}")
+        for k, names in changed.items():
+            print(f"changed: {k}: {', '.join(names)}")
     return 0
 
 

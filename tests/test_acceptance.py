@@ -19,7 +19,7 @@ from conexplore.connectivity import WeightFactors, fiedler, lambda2_gradient, la
 from conexplore.dynamics import ReferenceFilter
 from conexplore.planner import NoPath, astar
 from conexplore.world import ObstacleSet, SensingParams, rasterize
-from record_golden import GOLDEN_PATH, trial_key, trial_record
+from record_golden import GOLDEN_PATH, changed_fields, trial_key, trial_record
 
 SUITE = [
     ("scenarios/walled_15x20.json", (0, 4), tuple(range(20))),
@@ -49,6 +49,7 @@ def suite_runs():
                         "seed": seed,
                         "n": len(sc.robots),
                         "timeout": sc.timeout,
+                        "robots": sc.robots,
                         "conn": sc.conn,
                         "sensing": sc.sensing,
                         "metrics": metrics,
@@ -84,10 +85,10 @@ def test_suite_matches_golden_record(suite_runs):
     trials, _ = suite_runs
     golden = json.loads(GOLDEN_PATH.read_text())["trials"]
     got = {
-        trial_key(t["name"], t["ncon"], t["seed"]): trial_record(t["metrics"], t["result"])
+        trial_key(t["name"], t["ncon"], t["seed"]): trial_record(t["robots"], t["metrics"], t["result"])
         for t in trials
     }
-    changed = sorted(k for k in golden.keys() | got.keys() if golden.get(k) != got.get(k))
+    changed = changed_fields(golden, got)
     assert not changed, changed
 
 
