@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .behavior import BehaviorParams
-from .connectivity import ConnectivityParams, evaluate_field
+from .connectivity import ConnectivityParams, WeightFactors, fiedler, laplacian
 from .dynamics import BodyParams
 from .sim import RunResult, Simulation
 from .world import ObstacleSet, OccupancyGrid, SensingParams, rasterize
@@ -61,6 +61,13 @@ def _sample_targets(cfg, obstacles, grid, bounds, sensing, rng):
     free, it keeps R_o_outer clearance from obstacles, and it stays at least
     target_min_separation (default R_c_outer) away from every previously
     accepted target.
+
+    Candidates are drawn and tested in blocks, yet the result is that of
+    testing one `rng.random(3)` draw at a time: `Generator.random` fills a
+    (k, 3) block row by row, so row r is the r-th single draw, and once a row
+    is accepted the stream is rewound and advanced past that row only.  The
+    block size starts at 1 for every target and grows 4x after each block
+    without an accepted row, so it follows the rejection rate.
     """
     counts = cfg["explorer_target_counts"]
     min_sep = float(cfg.get("target_min_separation", sensing.R_c_outer))
@@ -72,33 +79,72 @@ def _sample_targets(cfg, obstacles, grid, bounds, sensing, rng):
     else:
         lo = np.asarray(region["min"], dtype=float)
         hi = np.asarray(region["max"], dtype=float)
+    span = hi - lo
+    # every candidate lies in [lo, lo + span], and cell_of is monotone, so an
+    # unoccupied grid whose cells cover both corners can reject none of them
+    check_cells = bool(grid.occupied.any()) or not (
+        grid.is_free(grid.cell_of(lo)) and grid.is_free(grid.cell_of(lo + span))
+    )
+    accepted = np.empty((sum(counts), 3))
+
+    def passing(z, n_acc):
+        """Indices of the candidate rows of z that pass every test, ascending."""
+        rows = np.arange(len(z))
+        if check_cells:
+            cells = np.floor((z - grid.origin) / grid.cell_size).astype(np.intp)
+            rows = rows[((cells >= 0) & (cells < grid.dims)).all(axis=1)]
+            rows = rows[~grid.occupied[tuple(cells[rows].T)]]
+        if not obstacles.empty:
+            rows = rows[obstacles.clearances(z[rows]) >= sensing.R_o_outer]
+        if n_acc and len(rows):
+            zr = z[rows] if len(rows) < len(z) else z
+            gap = zr[:, None, :] - accepted[None, :n_acc, :]
+            d = np.sqrt((gap * gap).sum(axis=2).min(axis=1))
+            ok = d >= min_sep
+            # rows within rounding of min_sep take the scalar test's verdict
+            near = np.abs(d - min_sep) <= 1e-9 * min_sep
+            if near.any():
+                for j in np.flatnonzero(near):
+                    ok[j] = min(np.linalg.norm(zr[j] - a) for a in accepted[:n_acc]) >= min_sep
+            rows = rows[ok]
+        return rows
+
+    def draw_target(n_acc):
+        """The next accepted candidate, or None after 2000 rejected ones."""
+        left, k = 2000, 1
+        while left:
+            m = min(k, left)
+            saved = rng.bit_generator.state if m > 1 else None
+            z = lo + rng.random((m, 3)) * span
+            hits = passing(z, n_acc)
+            if len(hits):
+                hit = hits[0]
+                if hit + 1 < m:
+                    rng.bit_generator.state = saved
+                    rng.random((hit + 1, 3))
+                return z[hit].copy()
+            left -= m
+            k *= 4
+        return None
+
     # sequential rejection can corner itself near the packing limit, so a
     # failed set is discarded and resampled from the same stream
     for _restart in range(50):
-        accepted = []
+        n_acc = 0
         per_robot = []
         for c in counts:
             lst = []
             for _ in range(c):
-                for _attempt in range(2000):
-                    z = lo + rng.random(3) * (hi - lo)
-                    if obstacles.clearance(z) < sensing.R_o_outer:
-                        continue
-                    cell = grid.cell_of(z)
-                    if not grid.is_free(cell):
-                        continue
-                    if accepted and min(np.linalg.norm(z - a) for a in accepted) < min_sep:
-                        continue
-                    accepted.append(z)
-                    lst.append(z)
+                z = draw_target(n_acc)
+                if z is None:
                     break
-                else:
-                    per_robot = None
-                    break
-            if per_robot is None:
+                accepted[n_acc] = z
+                n_acc += 1
+                lst.append(z)
+            if len(lst) < c:
                 break
             per_robot.append(lst)
-        if per_robot is not None:
+        else:
             return per_robot
     raise ScenarioError("target sampling failed: region too constrained")
 
@@ -163,11 +209,10 @@ def _build_scenario(cfg, path, seed, connectors) -> Scenario:
 
     positions = np.array([r[0] for r in robots])
     if len(positions) >= 2:
-        state = evaluate_field(positions, obstacles, sensing, conn)
-        if state.lambda2 <= conn.lambda2_min:
-            raise ScenarioError(
-                f"initial graph not connected: lambda2={state.lambda2:.6g}"
-            )
+        W = WeightFactors(positions, obstacles, sensing).weight_matrix()
+        lambda2 = fiedler(laplacian(W)).lambda2
+        if lambda2 <= conn.lambda2_min:
+            raise ScenarioError(f"initial graph not connected: lambda2={lambda2:.6g}")
     return Scenario(
         name=cfg.get("name", str(path)),
         obstacles=obstacles,

@@ -139,6 +139,12 @@ def adjacency(positions, obstacles: ObstacleSet, p: SensingParams) -> np.ndarray
     np.fill_diagonal(adj, False)
     if not obstacles.empty:
         ii, jj = np.nonzero(np.triu(adj, 1))
+        # every point of segment i-j lies within t*d_ij of q_i and (1-t)*d_ij
+        # of q_j, so its clearance is at least (c_i + c_j - d_ij)/2; pairs
+        # clear of R_o by that bound (plus a rounding margin) cannot be blocked
+        c = obstacles.clearances(q)
+        near = (c[ii] + c[jj] - dist[ii, jj]) / 2.0 < p.R_o + 1e-9
+        ii, jj = ii[near], jj[near]
         if len(ii):
             pts = obstacles.points
             qa = q[ii]

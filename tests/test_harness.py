@@ -5,8 +5,50 @@ import numpy as np
 import pytest
 
 from conexplore import cli, harness
+from conexplore.world import ObstacleSet, SensingParams, rasterize
 
 EMPTY_SCENARIO = "scenarios/empty_15x20.json"
+
+
+def scalar_sample_targets(cfg, obstacles, grid, bounds, sensing, rng):
+    """Oracle for harness._sample_targets: one candidate per rng.random(3)."""
+    counts = cfg["explorer_target_counts"]
+    min_sep = float(cfg.get("target_min_separation", sensing.R_c_outer))
+    min_sep = max(min_sep, sensing.R_c_outer)
+    region = cfg.get("target_region")
+    if region is None:
+        lo = np.asarray(bounds[0], dtype=float) + 1.0
+        hi = np.asarray(bounds[1], dtype=float) - 1.0
+    else:
+        lo = np.asarray(region["min"], dtype=float)
+        hi = np.asarray(region["max"], dtype=float)
+    for _restart in range(50):
+        accepted = []
+        per_robot = []
+        for c in counts:
+            lst = []
+            for _ in range(c):
+                for _attempt in range(2000):
+                    z = lo + rng.random(3) * (hi - lo)
+                    if obstacles.clearance(z) < sensing.R_o_outer:
+                        continue
+                    cell = grid.cell_of(z)
+                    if not grid.is_free(cell):
+                        continue
+                    if accepted and min(np.linalg.norm(z - a) for a in accepted) < min_sep:
+                        continue
+                    accepted.append(z)
+                    lst.append(z)
+                    break
+                else:
+                    per_robot = None
+                    break
+            if per_robot is None:
+                break
+            per_robot.append(lst)
+        if per_robot is not None:
+            return per_robot
+    raise harness.ScenarioError("target sampling failed: region too constrained")
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +109,59 @@ class TestLoadScenario:
         sc = harness.load_scenario("scenarios/single_robot.json")
         assert len(sc.robots) == 1
         assert len(sc.robots[0][1]) == 1
+
+
+class TestSampleTargets:
+    # a 3.5 m square around one obstacle point: seven targets 1.5 m apart sit
+    # near the packing limit, so sets corner themselves and restart
+    TIGHT_SENSING = SensingParams(
+        R_s=8.0, R_s_inner=3.0, R_o=0.6, R_o_outer=1.0, R_c=0.5, R_c_outer=1.5, R_m=4.0
+    )
+    TIGHT_BOUNDS = ([0.0, 0.0, 0.0], [6.0, 6.0, 2.0])
+
+    @staticmethod
+    def both(cfg, obstacles, grid, bounds, sensing, seed):
+        """(targets, final generator state) of the oracle and of the sampler."""
+        out = []
+        for sampler in (scalar_sample_targets, harness._sample_targets):
+            rng = np.random.default_rng(seed)
+            targets = sampler(cfg, obstacles, grid, bounds, sensing, rng)
+            out.append(([np.stack(t).tolist() for t in targets], rng.bit_generator.state))
+        return out
+
+    @pytest.mark.parametrize(
+        "path, seed", [(EMPTY_SCENARIO, s) for s in range(10)] + [("scenarios/walled_15x20.json", 1)]
+    )
+    def test_matches_scalar_oracle(self, path, seed):
+        cfg = json.loads(Path(path).read_text())
+        sc = harness.load_scenario(path, seed=seed, connectors=0)
+        oracle, blocks = self.both(cfg, sc.obstacles, sc.grid, sc.bounds, sc.sensing, seed)
+        assert blocks == oracle
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_scalar_oracle_through_restarts(self, seed, monkeypatch):
+        obstacles = ObstacleSet([[3.0, 3.0, 1.0]])
+        grid = rasterize(obstacles, self.TIGHT_BOUNDS, 0.5)
+        cfg = {
+            "explorer_target_counts": [3, 2, 2],
+            "target_region": {"min": [0.5, 0.5, 1.0], "max": [4.0, 4.0, 1.0]},
+        }
+        candidates = []
+        clearance = obstacles.clearance
+        monkeypatch.setattr(obstacles, "clearance", lambda z: candidates.append(z) or clearance(z))
+        oracle, blocks = self.both(cfg, obstacles, grid, self.TIGHT_BOUNDS, self.TIGHT_SENSING, seed)
+        assert blocks == oracle
+        assert len(candidates) > 2000  # some target used up its 2000 candidates
+
+    def test_impossible_region_raises(self):
+        cfg = {
+            "explorer_target_counts": [2],
+            "target_region": {"min": [1.0, 1.0, 1.0], "max": [1.5, 1.5, 1.0]},
+        }
+        grid = rasterize(ObstacleSet(), self.TIGHT_BOUNDS, 0.5)
+        rng = np.random.default_rng(0)
+        with pytest.raises(harness.ScenarioError, match="too constrained"):
+            harness._sample_targets(cfg, ObstacleSet(), grid, self.TIGHT_BOUNDS, self.TIGHT_SENSING, rng)
 
 
 class TestRunTrial:
@@ -213,6 +308,15 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert err[0].startswith("error: ") and "No such file" in err[0]
         assert err[1] == f"error: {sp}: missing key 'bounds'"
+
+    def test_disconnected_start_exits_4(self, tmp_path, capsys):
+        cfg = json.loads(Path("scenarios/no_targets.json").read_text())
+        cfg["robots"] = [{"position": [0.1, 0.1, 1.5]}, {"position": [9.9, 9.9, 1.5]}]
+        sp = tmp_path / "s.json"
+        sp.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--scenario", str(sp)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "not connected" in err[0]
 
     def test_missing_subcommand_errors(self):
         with pytest.raises(SystemExit):

@@ -106,6 +106,23 @@ class TestNeighbors:
         assert np.array_equal(adj, adj.T)
         assert not adj.diagonal().any()
 
+    def test_matches_brute_force_near_wall(self):
+        # pairs the clearance bound prunes, pairs it keeps and blocked pairs
+        # all occur; each edge must match the per-pair line-of-sight test
+        obs = ObstacleSet(sample_box([1.9, -3, -3], [2.1, 3, 3], 0.3))
+        rng = np.random.default_rng(7)
+        seen = np.zeros(2, dtype=int)
+        for _ in range(200):
+            q = rng.uniform([-2.0, -3.0, -3.0], [6.0, 3.0, 3.0], size=(8, 3))
+            adj = adjacency(q, obs, P)
+            for i in range(8):
+                for j in range(8):
+                    in_range = i != j and np.linalg.norm(q[i] - q[j]) < P.R_s
+                    visible = in_range and line_of_sight_clearance(q[i], q[j], obs) >= P.R_o
+                    assert adj[i, j] == visible
+                    seen += [in_range and not visible, visible]
+        assert seen.min() > 100
+
 
 class TestRasterize:
     BOUNDS = ([0.0, 0.0, 0.0], [4.0, 4.0, 4.0])
