@@ -151,10 +151,12 @@ class Simulation:
         winner = None
         if candidacies:
             winner, _ = run_flooding_election(adj, host=0, candidacies=candidacies)
-        for ag in self.agents:
-            ag.assume_startup_role(winner)
         if winner is not None:
             self._log_event(winner, "winner", "startup election")
+        for i, ag in enumerate(self.agents):
+            ag.assume_startup_role(winner)
+            if ag.role == SECONDARY:
+                self._log_event(i, "role_change", ag.role)
 
     # -- main loop ---------------------------------------------------------------
 

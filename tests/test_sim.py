@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from conexplore import harness, sim
+from conexplore.behavior import SECONDARY
 
 # every control law and the integrator, at the name conexplore.sim calls it by
 LAWS = (
@@ -36,7 +39,14 @@ TWO_EXPLORERS = {
 }
 
 
-def test_simulation_runs_the_tested_laws(tmp_path, monkeypatch):
+@pytest.fixture
+def two_explorers(tmp_path):
+    path = tmp_path / "two_explorers.json"
+    path.write_text(json.dumps(TWO_EXPLORERS))
+    return harness.load_scenario(path)
+
+
+def test_simulation_runs_the_tested_laws(two_explorers, monkeypatch):
     calls = dict.fromkeys(LAWS, 0)
     for name in LAWS:
         law = getattr(sim, name)
@@ -46,8 +56,13 @@ def test_simulation_runs_the_tested_laws(tmp_path, monkeypatch):
             return _law(*args, **kwargs)
 
         monkeypatch.setattr(sim, name, counted)
-    path = tmp_path / "two_explorers.json"
-    path.write_text(json.dumps(TWO_EXPLORERS))
-    metrics, result = harness.run_trial(harness.load_scenario(path))
+    metrics, result = harness.run_trial(two_explorers)
     assert metrics.completed and result.fault is None
     assert all(calls.values()), calls
+
+
+def test_startup_secondary_logs_its_role(two_explorers):
+    # robot 1 follows from t = 0, so its first role event says so
+    _metrics, result = harness.run_trial(two_explorers)
+    events = [e for e in result.events if e[1] == 1 and e[2] == "role_change"]
+    assert events[0] == (0.0, 1, "role_change", SECONDARY)
