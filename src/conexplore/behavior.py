@@ -308,24 +308,23 @@ class RobotAgent:
             if self.pending is not None and int(msg.payload[0]) == self.index:
                 self._pending_to_secondary(ctx)
 
-    def _pending_to_secondary(self, ctx: PlanContext):
+    def _adopt_pending(self):
+        """Take the pending target, with its planned path, as the current one."""
         p = self.pending
         self.pending = None
         self.z = p["z"]
         self.dwell_required = p["dwell"]
         self.path = p["path"]
         self.s_track = 0.0
+
+    def _pending_to_secondary(self, ctx: PlanContext):
+        self._adopt_pending()
         self.role = SECONDARY
         ctx.log_event("role_change", SECONDARY)
 
     def _become_prime_on_win(self, ctx: PlanContext):
         if self.pending is not None:
-            p = self.pending
-            self.pending = None
-            self.z = p["z"]
-            self.dwell_required = p["dwell"]
-            self.path = p["path"]
-            self.s_track = 0.0
+            self._adopt_pending()
         if self.z is None:
             # won a stale election after clearing all targets
             if self.queue:
@@ -346,12 +345,7 @@ class RobotAgent:
                     self.pending["defer"] = False
                     self.pending["wait_until"] = ctx.round + 2 * (ctx.n - 1)
                 else:
-                    p = self.pending
-                    self.pending = None
-                    self.z = p["z"]
-                    self.dwell_required = p["dwell"]
-                    self.path = p["path"]
-                    self.s_track = 0.0
+                    self._adopt_pending()
                     self.role = PRIME
                     ctx.send(netsim.WINNER_ANNOUNCE, (self.index,))
                     ctx.log_event("winner", "self-promotion (no prime present)")

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 connectivity/anchor fault, 3 timeout-only failure,
 4 bad input: a scenario or batch file that is missing, malformed or lacks a
-key, a scenario that cannot be built, or a file that cannot be read or
+key, a scenario that cannot be built (a bad parameter value among them), a
+metrics CSV that cannot be summarized, or a file that cannot be read or
 written.  Bad input prints one `error: ...` line on stderr.
 """
 
@@ -41,8 +42,13 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    _, rows = harness.read_rows(getattr(args, "in"))
-    print(harness.format_summary(harness.summarize(rows)))
+    path = getattr(args, "in")
+    _, rows = harness.read_rows(path)
+    try:
+        summary = harness.summarize(rows)
+    except harness.ScenarioError as exc:
+        raise harness.ScenarioError(f"{path}: {exc}") from exc
+    print(harness.format_summary(summary))
     return 0
 
 

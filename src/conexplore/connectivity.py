@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .world import ObstacleSet, SensingParams
+from .world import ObstacleSet, SensingParams, near_pairs, segment_gaps
 
 _EIGENGAP_TOL = 1e-9
 
@@ -95,8 +95,6 @@ class WeightFactors:
     def __init__(self, positions, obstacles: ObstacleSet, p: SensingParams):
         q = np.asarray(positions, dtype=float)
         n = len(q)
-        self.n = n
-        self.q = q
         diff = q[:, None, :] - q[None, :, :]
         dist = np.linalg.norm(diff, axis=2)
         np.fill_diagonal(dist, 1.0)  # placeholder, masked everywhere
@@ -126,22 +124,11 @@ class WeightFactors:
             pts = pts[keep]
             within = within[:, keep]
             ii, jj = np.nonzero(np.triu(self.range_f, 1) > 0.0)
-            if len(ii):
-                # a segment stays at least (c_i + c_j - d_ij)/2 from every
-                # obstacle point; such pairs keep a unit factor and are skipped
-                exact = (clear[ii] + clear[jj] - dist[ii, jj]) * 0.5 < p.R_o_outer
-                ii = ii[exact]
-                jj = jj[exact]
+            # pruned pairs keep a unit factor
+            ii, jj = near_pairs(ii, jj, clear, dist, p.R_o_outer)
             if len(ii) and len(pts):
-                qa = q[ii]
-                u = q[jj] - qa
-                uu = np.maximum((u * u).sum(axis=1), 1e-300)
-                w = pts[None, :, :] - qa[:, None, :]
-                t = np.clip((w * u[:, None, :]).sum(axis=2) / uu[:, None], 0.0, 1.0)
-                gap = t[:, :, None] * u[:, None, :] - w
-                d = np.sqrt((gap * gap).sum(axis=2))
-                allowed = within[ii] | within[jj]
-                d = np.where(allowed, d, np.inf)
+                t, gap, d = segment_gaps(q[ii], q[jj], pts)
+                d = np.where(within[ii] | within[jj], d, np.inf)
                 k = d.argmin(axis=1)
                 rows = np.arange(len(ii))
                 dmin = d[rows, k]

@@ -173,17 +173,29 @@ def load_scenario(path, seed=None, connectors=None) -> Scenario:
         raise ScenarioError(f"{path}: missing key {exc}") from exc
 
 
+def _section(path, name, build):
+    """build(), with its ValueError or TypeError raised as a ScenarioError."""
+    try:
+        return build()
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{path}: bad {name}: {exc}") from exc
+
+
 def _build_scenario(cfg, path, seed, connectors) -> Scenario:
     bounds = (cfg["bounds"]["min"], cfg["bounds"]["max"])
     obst_cfg = cfg.get("obstacles", {})
     obstacles = ObstacleSet.from_primitives(
         points=obst_cfg.get("points"), boxes=obst_cfg.get("boxes", ())
     )
-    sensing = SensingParams(**cfg["sensing"])
-    conn = ConnectivityParams(**cfg.get("connectivity", {}))
-    behavior = BehaviorParams(**cfg.get("behavior", {}))
-    body = BodyParams(**cfg.get("body", {}))
-    grid = rasterize(obstacles, bounds, cfg.get("grid_cell", 0.75))
+    sensing = _section(path, "sensing", lambda: SensingParams(**cfg["sensing"]))
+    conn = _section(
+        path, "connectivity", lambda: ConnectivityParams(**cfg.get("connectivity", {}))
+    )
+    behavior = _section(path, "behavior", lambda: BehaviorParams(**cfg.get("behavior", {})))
+    body = _section(path, "body", lambda: BodyParams(**cfg.get("body", {})))
+    grid = _section(
+        path, "bounds or grid_cell", lambda: rasterize(obstacles, bounds, cfg.get("grid_cell", 0.75))
+    )
 
     if "robots" in cfg:
         robots = [
@@ -301,9 +313,12 @@ def write_rows(out_csv, rows):
 
 
 def read_rows(in_csv):
+    """Header and rows of a metrics CSV; an empty file raises ScenarioError."""
     with open(in_csv) as fh:
         r = csv.reader(fh)
-        header = next(r)
+        header = next(r, None)
+        if header is None:
+            raise ScenarioError(f"{in_csv}: empty metrics file")
         return header, [row for row in r]
 
 
@@ -311,13 +326,21 @@ def summarize(rows):
     """Five-number summary per (scenario, connector count) per metric.
 
     Accepts rows shaped as run_montecarlo emits them; returns a dict
-    {(scenario, connectors): {metric: (min, p25, p50, p75, max)}}.
+    {(scenario, connectors): {metric: (min, p25, p50, p75, max)}}.  A row of
+    the wrong length or with a non-numeric cell raises ScenarioError.
     """
     names = TrialMetrics.field_names()
+    width = len(ID_COLUMNS) + len(names)
     groups = {}
-    for row in rows:
-        key = (row[0], int(row[1]))
-        groups.setdefault(key, []).append([float(x) for x in row[3 : 3 + len(names) - 1]])
+    for n, row in enumerate(rows, 1):
+        try:
+            if len(row) != width:
+                raise ValueError(f"{len(row)} cells, expected {width}")
+            key = (row[0], int(row[1]))
+            vals = [float(x) for x in row[3 : 3 + len(names) - 1]]
+        except ValueError as exc:
+            raise ScenarioError(f"metrics row {n}: {exc}") from exc
+        groups.setdefault(key, []).append(vals)
     out = {}
     for key, vals in groups.items():
         arr = np.asarray(vals)

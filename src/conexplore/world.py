@@ -102,68 +102,56 @@ class ObstacleSet:
         return np.asarray(d, dtype=float)
 
 
-def segment_point_distances(qi, qj, points):
-    """Distance from each point to the segment qi-qj, with the segment parameter.
+def segment_gaps(qa, qb, points):
+    """Closest approach of each segment qa[p]-qb[p] to each obstacle point.
 
-    Returns (dists, ts) where ts is the clamped projection parameter in [0, 1].
+    For P segments and M points returns (t, gap, d): the clamped segment
+    parameter (P, M), the vector from the point to its closest segment point
+    (P, M, 3) and that vector's length (P, M).
     """
-    qi = np.asarray(qi, dtype=float)
-    qj = np.asarray(qj, dtype=float)
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    u = qj - qi
-    uu = float(u @ u)
-    if uu == 0.0:
-        d = np.linalg.norm(pts - qi, axis=1)
-        return d, np.zeros(len(pts))
-    t = np.clip((pts - qi) @ u / uu, 0.0, 1.0)
-    closest = qi + t[:, None] * u
-    d = np.linalg.norm(closest - pts, axis=1)
-    return d, t
+    u = qb - qa
+    uu = np.maximum((u * u).sum(axis=1), 1e-300)
+    w = points[None, :, :] - qa[:, None, :]
+    t = np.clip((w * u[:, None, :]).sum(axis=2) / uu[:, None], 0.0, 1.0)
+    gap = t[:, :, None] * u[:, None, :] - w
+    return t, gap, np.sqrt((gap * gap).sum(axis=2))
+
+
+def near_pairs(ii, jj, clear, dist, radius):
+    """The pairs (ii, jj) whose segment may pass within radius of an obstacle.
+
+    Every point of segment i-j lies within t*d_ij of q_i and (1-t)*d_ij of
+    q_j, so its clearance is at least (c_i + c_j - d_ij)/2; pairs whose bound
+    reaches radius cannot come closer and are dropped.
+    """
+    near = (clear[ii] + clear[jj] - dist[ii, jj]) / 2.0 < radius
+    return ii[near], jj[near]
 
 
 def line_of_sight_clearance(qi, qj, obstacles: ObstacleSet) -> float:
     """Min distance from the segment qi-qj to any obstacle point (+inf if none)."""
     if obstacles.empty:
         return INF
-    d, _ = segment_point_distances(qi, qj, obstacles.points)
-    return float(d.min())
+    qa, qb = np.asarray([qi, qj], dtype=float)[:, None, :]
+    return float(segment_gaps(qa, qb, obstacles.points)[2].min())
 
 
 def adjacency(positions, obstacles: ObstacleSet, p: SensingParams) -> np.ndarray:
     """Boolean N x N neighbor matrix: range strictly < R_s and clearance >= R_o."""
     q = np.asarray(positions, dtype=float)
-    n = len(q)
-    diff = q[:, None, :] - q[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
+    dist = np.linalg.norm(q[:, None, :] - q[None, :, :], axis=2)
     adj = dist < p.R_s
     np.fill_diagonal(adj, False)
     if not obstacles.empty:
         ii, jj = np.nonzero(np.triu(adj, 1))
-        # every point of segment i-j lies within t*d_ij of q_i and (1-t)*d_ij
-        # of q_j, so its clearance is at least (c_i + c_j - d_ij)/2; pairs
-        # clear of R_o by that bound (plus a rounding margin) cannot be blocked
-        c = obstacles.clearances(q)
-        near = (c[ii] + c[jj] - dist[ii, jj]) / 2.0 < p.R_o + 1e-9
-        ii, jj = ii[near], jj[near]
+        # the 1e-9 margin keeps a pair whose bound rounds onto R_o
+        ii, jj = near_pairs(ii, jj, obstacles.clearances(q), dist, p.R_o + 1e-9)
         if len(ii):
-            pts = obstacles.points
-            qa = q[ii]
-            u = q[jj] - qa
-            uu = np.maximum((u * u).sum(axis=1), 1e-300)
-            w = pts[None, :, :] - qa[:, None, :]
-            t = np.clip((w * u[:, None, :]).sum(axis=2) / uu[:, None], 0.0, 1.0)
-            gap = t[:, :, None] * u[:, None, :] - w
-            dmin = np.sqrt((gap * gap).sum(axis=2)).min(axis=1)
+            dmin = segment_gaps(q[ii], q[jj], obstacles.points)[2].min(axis=1)
             blocked = dmin < p.R_o
             adj[ii[blocked], jj[blocked]] = False
             adj[jj[blocked], ii[blocked]] = False
     return adj
-
-
-def neighbors(i: int, positions, obstacles: ObstacleSet, p: SensingParams) -> set:
-    """Set of robots whose relative position robot i can measure."""
-    adj = adjacency(positions, obstacles, p)
-    return set(np.nonzero(adj[i])[0].tolist())
 
 
 @dataclass

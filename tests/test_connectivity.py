@@ -86,6 +86,31 @@ class TestEdgeWeight:
                 assert g[d] == pytest.approx((wp - wm) / (2 * h), abs=1e-5)
 
 
+class TestObstacleView:
+    """The obstacle factor of a pair sees only points within R_m of either robot."""
+
+    POINT = ObstacleSet([[2.5, 1.0, 0.0]])  # 1.0 from the segment, 2.69 from both ends
+
+    @staticmethod
+    def sensing(R_m):
+        return SensingParams(
+            R_s=6.0, R_s_inner=2.5, R_o=0.75, R_o_outer=1.75, R_c=1.0, R_c_outer=2.5, R_m=R_m
+        )
+
+    def test_point_outside_both_views_is_ignored(self):
+        q = np.array([[0, 0, 0], [5.0, 0, 0]], dtype=float)
+        assert WeightFactors(q, self.POINT, self.sensing(2.0)).obst_f[0, 1] == 1.0
+        assert WeightFactors(q, self.POINT, self.sensing(3.0)).obst_f[0, 1] < 1.0
+
+    def test_third_robot_seeing_the_point_does_not_lend_its_view(self):
+        # robot 2 sees the point, so it survives the team-wide filter, but the
+        # pair 0-1 must still mask it out
+        q = np.array([[0, 0, 0], [5.0, 0, 0], [2.5, 2.0, 0]], dtype=float)
+        f = WeightFactors(q, self.POINT, self.sensing(2.0))
+        assert f.obst_f[0, 1] == f.obst_f[1, 0] == 1.0
+        assert f.obst_f[0, 2] < 1.0
+
+
 class TestLaplacian:
     def test_two_nodes(self):
         W = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -318,6 +318,46 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "not connected" in err[0]
 
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("sensing", "R_s_inner", 99.0, "bad sensing: need 0 < R_s_inner < R_s"),
+            ("sensing", "R_S", 8.0, "bad sensing: "),
+            ("behavior", "sigma", "3", "bad behavior: "),
+        ],
+        ids=["R_s_inner_above_R_s", "unknown_key", "string_for_number"],
+    )
+    def test_bad_parameter_value_exits_4(self, tmp_path, capsys, section, key, value, message):
+        cfg = json.loads(Path("scenarios/single_robot.json").read_text())
+        cfg[section][key] = value
+        sp = tmp_path / "s.json"
+        sp.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--scenario", str(sp)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {sp}: {message}")
+
+    def test_empty_metrics_csv_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text("")
+        assert cli.main(["summarize", "--in", str(path)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {path}: empty metrics file"]
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            (["s", 0, 2, "n/a", 6.0, 3.0, 0.8, 0.4, 1.1, 2.1, "True"], "could not convert"),
+            (["s", 0, 2, 20.0, 6.0], "5 cells, expected 11"),
+        ],
+        ids=["non_numeric_cell", "short_row"],
+    )
+    def test_bad_metrics_row_exits_4(self, tmp_path, capsys, bad_row, message):
+        path = tmp_path / "m.csv"
+        harness.write_rows(path, [TestSummarize.ROWS[0], bad_row])
+        assert cli.main(["summarize", "--in", str(path)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: metrics row 2: {message}")
+
     def test_missing_subcommand_errors(self):
         with pytest.raises(SystemExit):
             cli.main([])

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from conexplore import harness, sim
+from conexplore import connectivity, harness, sim, world
 from conexplore.behavior import SECONDARY
 
 # every control law and the integrator, at the name conexplore.sim calls it by
@@ -59,6 +60,28 @@ def test_simulation_runs_the_tested_laws(two_explorers, monkeypatch):
     metrics, result = harness.run_trial(two_explorers)
     assert metrics.completed and result.fault is None
     assert all(calls.values()), calls
+
+
+def test_simulation_runs_the_tested_kernel(monkeypatch):
+    # adjacency and the connectivity field, at the names conexplore.sim calls,
+    # must both reach the segment-obstacle kernel that tests/test_world.py checks
+    calls = {}
+    for module in (world, connectivity):
+        kernel = module.segment_gaps
+
+        def counted(*args, _name=module.__name__, _kernel=kernel):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(module, "segment_gaps", counted)
+    sensing = world.SensingParams(**TWO_EXPLORERS["sensing"])
+    # robots 0 and 1 face each other through the wall; robot 2 links them over it
+    wall = world.ObstacleSet(world.sample_box([2.9, -2, -2], [3.1, 2, 2], 0.25))
+    q = np.array([[0.0, 0.0, 0.0], [6.0, 0.0, 0.0], [3.0, 4.5, 0.0]])
+    adj = sim.adjacency(q, wall, sensing)
+    state = sim.evaluate_field(q, wall, sensing, connectivity.ConnectivityParams())
+    assert not adj[0, 1] and state.W[0, 1] == 0.0
+    assert calls == {"conexplore.world": 1, "conexplore.connectivity": 1}
 
 
 def test_startup_secondary_logs_its_role(two_explorers):

@@ -8,7 +8,6 @@ from conexplore.world import (
     SensingParams,
     adjacency,
     line_of_sight_clearance,
-    neighbors,
     rasterize,
     sample_box,
 )
@@ -86,17 +85,17 @@ class TestLineOfSightClearance:
 class TestNeighbors:
     def test_at_exact_range_not_neighbors(self):
         q = np.array([[0, 0, 0], [P.R_s, 0, 0]], dtype=float)
-        assert neighbors(0, q, ObstacleSet(), P) == set()
+        assert not adjacency(q, ObstacleSet(), P)[0].any()
 
     def test_half_range_neighbors(self):
         q = np.array([[0, 0, 0], [0.5 * P.R_s, 0, 0]])
-        assert neighbors(0, q, ObstacleSet(), P) == {1}
+        assert adjacency(q, ObstacleSet(), P)[0].tolist() == [False, True]
 
     def test_wall_blocks(self):
         # dense wall crossing the segment with clearance below R_o
         wall = sample_box([1.9, -2, -2], [2.1, 2, 2], 0.2)
         q = np.array([[0, 0, 0], [4, 0, 0]], dtype=float)
-        assert neighbors(0, q, ObstacleSet(wall), P) == set()
+        assert not adjacency(q, ObstacleSet(wall), P)[0].any()
 
     @given(positions_strategy(5))
     @settings(max_examples=50, deadline=None)
