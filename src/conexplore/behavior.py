@@ -137,61 +137,6 @@ def elect_winner(candidates):
     return None if best is None else best[1]
 
 
-# -- flooding protocols (static-graph runners used at startup and in tests) --
-
-
-def run_flooding_election(adj, host: int, candidacies: dict):
-    """Full flooding election on a static connected graph.
-
-    The host floods the election opening, candidates flood their (distance,
-    index) replies, and the host decides at the end of the 2(N-1)-round
-    collection window.  Returns (winner or None, rounds_used).
-    """
-    adj = np.asarray(adj, dtype=bool)
-    n = adj.shape[0]
-    window = 2 * (n - 1)
-    net = netsim.Network(n)
-    net.send(host, netsim.ELECTION_OPEN, (window,))
-    collected = {}
-    replied = set()
-    if host in candidacies:
-        collected[host] = candidacies[host]
-        replied.add(host)
-    for _ in range(window):
-        inboxes = net.deliver_round(adj)
-        for i in range(n):
-            for m in inboxes[i]:
-                if m.kind == netsim.ELECTION_OPEN and i in candidacies and i not in replied:
-                    replied.add(i)
-                    net.send(i, netsim.CANDIDACY, (candidacies[i], i))
-                elif m.kind == netsim.CANDIDACY and i == host:
-                    d, idx = m.payload
-                    collected[int(idx)] = float(d)
-    return elect_winner(collected.items()), window
-
-
-def presence_flood(adj, is_prime):
-    """Answer 'does a prime traveler exist' at every robot via query/reply
-    flooding, within 2(N-1) rounds."""
-    adj = np.asarray(adj, dtype=bool)
-    n = adj.shape[0]
-    net = netsim.Network(n)
-    for i in range(n):
-        net.send(i, netsim.PRESENCE_QUERY, (i,))
-    answer = [bool(is_prime[i]) for i in range(n)]
-    replied = set()
-    for _ in range(2 * (n - 1)):
-        inboxes = net.deliver_round(adj)
-        for i in range(n):
-            for m in inboxes[i]:
-                if m.kind == netsim.PRESENCE_QUERY and is_prime[i] and m.payload[0] not in replied:
-                    replied.add(m.payload[0])
-                    net.send(i, netsim.PRESENCE_REPLY, (m.payload[0],))
-                elif m.kind == netsim.PRESENCE_REPLY and m.payload[0] == i:
-                    answer[i] = True
-    return {i: answer[i] for i in range(n)}
-
-
 # -- per-robot planning state machine ----------------------------------------
 
 
@@ -203,7 +148,7 @@ class PlanContext:
     n: int
     q: np.ndarray
     inbox: list
-    send: callable  # (kind, payload) -> None
+    send: callable  # (kind, payload) -> the netsim.Message sent
     plan: callable  # (start, goal) -> SmoothPath or None
     log_event: callable  # (event, detail) -> None
 
@@ -232,34 +177,35 @@ class RobotAgent:
 
     # startup ---------------------------------------------------------------
 
-    def startup_plan(self, q, plan, log_event):
-        """Pop the first target and plan; returns remaining path length or None."""
+    def startup_plan(self, ctx: PlanContext):
+        """Pop the first target and plan; a robot with a path becomes secondary."""
         if not self.queue:
-            return None
+            return
         z, dw = self.queue.pop(0)
-        path = plan(q, z)
+        path = ctx.plan(ctx.q, z)
         if path is None:
-            log_event("fault", "unreachable first target")
-            return None
+            ctx.log_event("fault", "unreachable first target")
+            return
         self.z = z
         self.dwell_required = dw
         self.path = path
         self.s_track = 0.0
-        return path.total_length
-
-    def assume_startup_role(self, winner):
-        if self.z is None:
-            self.role = CONNECTOR
-        elif winner == self.index:
-            self.role = PRIME
-        else:
-            self.role = SECONDARY
+        self.role = SECONDARY
 
     # planning tick -----------------------------------------------------------
 
-    def plan_tick(self, ctx: PlanContext):
+    def exchange(self, ctx: PlanContext):
+        """Handle the inbox and close a due election: all a startup round runs."""
         for msg in ctx.inbox:
             self._handle_message(msg, ctx)
+        if self.hosting is not None and ctx.round >= self.hosting["window_end"]:
+            self._close_election(ctx)
+
+    def plan_tick(self, ctx: PlanContext):
+        hosting = self.hosting is not None
+        self.exchange(ctx)
+        if hosting:
+            return  # a host does nothing else until its election has closed
         handler = {
             CONNECTOR: self._plan_connector,
             PRIME: self._plan_prime,
@@ -276,12 +222,7 @@ class RobotAgent:
             self.open_window_end = max(self.open_window_end, window_end)
             self.busy_until = max(self.busy_until, window_end + (ctx.n - 1))
             if eid not in self.candidacy_sent:
-                d = None
-                if self.role == SECONDARY and self.path is not None:
-                    _, s = self.path.closest_point(ctx.q)
-                    d = self.path.remaining_length(s)
-                elif self.pending is not None:
-                    d = self.pending["path"].total_length
+                d = self._candidacy_distance(ctx.q)
                 if d is not None:
                     self.candidacy_sent.add(eid)
                     ctx.send(netsim.CANDIDACY, (eid[0], eid[1], d, self.index))
@@ -307,6 +248,42 @@ class RobotAgent:
         elif kind == netsim.PRESENCE_REPLY:
             if self.pending is not None and int(msg.payload[0]) == self.index:
                 self._pending_to_secondary(ctx)
+
+    def _candidacy_distance(self, q):
+        """Path length a candidacy claims, or None for a robot with no path."""
+        if self.role == SECONDARY and self.path is not None:
+            _, s = self.path.closest_point(q)
+            return self.path.remaining_length(s)
+        if self.pending is not None:
+            return self.pending["path"].total_length
+        return None
+
+    def open_election(self, ctx: PlanContext):
+        """Flood an election opening and host it, standing as a candidate if able."""
+        window_end = ctx.round + 2 * (ctx.n - 1)
+        msg = ctx.send(netsim.ELECTION_OPEN, (window_end,))
+        d = self._candidacy_distance(ctx.q)
+        self.hosting = {
+            "id": (self.index, msg.seq),
+            "window_end": window_end,
+            "candidates": {} if d is None else {self.index: d},
+        }
+        self.open_window_end = window_end
+        self.busy_until = max(self.busy_until, window_end + (ctx.n - 1))
+
+    def _close_election(self, ctx: PlanContext):
+        """Announce the winner; a prime host anchors, a host that won becomes prime."""
+        winner = elect_winner(self.hosting["candidates"].items())
+        eid = self.hosting["id"]
+        ctx.send(netsim.WINNER_ANNOUNCE, (eid[0], eid[1], -1 if winner is None else winner))
+        self.hosting = None
+        self.open_window_end = -1
+        if self.role == PRIME:
+            self.role = ANCHOR
+            self.dwell_elapsed = 0.0
+            ctx.log_event("role_change", ANCHOR)
+        elif winner == self.index:
+            self._become_prime_on_win(ctx)
 
     def _adopt_pending(self):
         """Take the pending target, with its planned path, as the current one."""
@@ -370,31 +347,12 @@ class RobotAgent:
         ctx.log_event("election_open", "presence query")
 
     def _plan_prime(self, ctx: PlanContext):
-        if self.hosting is not None:
-            if ctx.round >= self.hosting["window_end"]:
-                winner = elect_winner(self.hosting["candidates"].items())
-                eid = self.hosting["id"]
-                ctx.send(
-                    netsim.WINNER_ANNOUNCE,
-                    (eid[0], eid[1], -1 if winner is None else winner),
-                )
-                self.hosting = None
-                self.open_window_end = -1
-                self.role = ANCHOR
-                self.dwell_elapsed = 0.0
-                ctx.log_event("role_change", ANCHOR)
-            return
         if (
             self.z is not None
             and float(np.linalg.norm(ctx.q - self.z)) < self.bp.arrival_frac * self.bp.R_z
         ):
             self.path = None
-            window_end = ctx.round + 2 * (ctx.n - 1)
-            msg_seq_placeholder = ctx.send(netsim.ELECTION_OPEN, (window_end,))
-            eid = (self.index, msg_seq_placeholder.seq)
-            self.hosting = {"id": eid, "window_end": window_end, "candidates": {}}
-            self.open_window_end = window_end
-            self.busy_until = max(self.busy_until, window_end + (ctx.n - 1))
+            self.open_election(ctx)
             ctx.log_event("target_reached", f"target {self.targets_done}")
             return
         if self.path is None and self.z is not None:

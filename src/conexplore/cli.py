@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 connectivity/anchor fault, 3 timeout-only failure,
 4 bad input: a scenario or batch file that is missing, malformed or lacks a
-key, a scenario that cannot be built (a bad parameter value among them), a
-metrics CSV that cannot be summarized, or a file that cannot be read or
-written.  Bad input prints one `error: ...` line on stderr.
+key, a scenario that cannot be built (a bad parameter value or a malformed
+obstacle list among them), a metrics CSV that cannot be summarized, or a
+file that cannot be read or written.  Bad input prints one `error: ...` line
+on stderr.
 """
 
 from __future__ import annotations

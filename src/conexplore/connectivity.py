@@ -150,23 +150,6 @@ class WeightFactors:
         return W
 
 
-def edge_weight(i, j, positions, obstacles: ObstacleSet, p: SensingParams):
-    """Weight W_ij and its gradient with respect to q_i."""
-    if i == j:
-        raise ValueError("edge requires i != j")
-    f = WeightFactors(positions, obstacles, p)
-    w = f.range_f[i, j] * f.obst_f[i, j] * f.P[i] * f.P[j]
-    pp = f.P[i] * f.P[j]
-    grad = f.obst_f[i, j] * pp * f.range_d[i, j] * f.unit[i, j]
-    grad += f.range_f[i, j] * pp * f.obst_d[i, j] * f.obst_g[i, j]
-    c = f.range_f[i, j] * f.obst_f[i, j]
-    # dP_i/dq_i over all partners, plus P_j's dependence on d_ij
-    dPi = np.einsum("k,k,kd->d", f.loo[i], f.coll_d[i], f.unit[i])
-    dPj = f.loo[j, i] * f.coll_d[i, j] * f.unit[i, j]
-    grad += c * (f.P[j] * dPi + f.P[i] * dPj)
-    return float(w), grad
-
-
 def laplacian(W: np.ndarray) -> np.ndarray:
     W = np.asarray(W, dtype=float)
     return np.diag(W.sum(axis=1)) - W

@@ -184,8 +184,10 @@ def _section(path, name, build):
 def _build_scenario(cfg, path, seed, connectors) -> Scenario:
     bounds = (cfg["bounds"]["min"], cfg["bounds"]["max"])
     obst_cfg = cfg.get("obstacles", {})
-    obstacles = ObstacleSet.from_primitives(
-        points=obst_cfg.get("points"), boxes=obst_cfg.get("boxes", ())
+    obstacles = _section(
+        path,
+        "obstacles",
+        lambda: ObstacleSet.from_primitives(points=obst_cfg.get("points"), boxes=obst_cfg.get("boxes", ())),
     )
     sensing = _section(path, "sensing", lambda: SensingParams(**cfg["sensing"]))
     conn = _section(

@@ -2,7 +2,8 @@
 dynamics, netsim, and behavior together for one trial.
 
 Rates: control at 1 kHz, connectivity field held zero-order at 100 Hz,
-planning / message rounds at 10 Hz.
+planning / message rounds at 10 Hz.  The first election runs before any
+motion: its 3(N-1)+1 message rounds are all delivered at t = 0.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .behavior import (
     anchor_force,
     consensus_step,
     direction_alignment,
-    run_flooding_election,
     travel_force,
     traveling_efficiency,
 )
@@ -139,24 +139,26 @@ class Simulation:
     # -- startup ----------------------------------------------------------------
 
     def startup(self):
-        """Initial planning and the first election, hosted by robot 0."""
+        """Initial planning and the first election, hosted by robot 0.
+
+        Every robot whose first path is planned starts as a secondary.  Robot 0
+        then opens the election, and the 3(N-1)+1 rounds it needs are delivered
+        on the team's network at t = 0: the host decides at round 2(N-1), and
+        the announcement takes up to N-1 more hops.  These rounds run only
+        message handling and the due close, not the role handlers, and do not
+        feed the monitors.
+        """
         adj = adjacency(self.q, self.obstacles, self.sensing)
         self._adj_f = adj.astype(float)
-        candidacies = {}
         self.mon.targets_planned = sum(len(a.queue) for a in self.agents)
         for i, ag in enumerate(self.agents):
-            d = ag.startup_plan(self.q[i], self._plan, lambda e, det, i=i: self._log_event(i, e, det))
-            if d is not None:
-                candidacies[i] = d
-        winner = None
-        if candidacies:
-            winner, _ = run_flooding_election(adj, host=0, candidacies=candidacies)
-        if winner is not None:
-            self._log_event(winner, "winner", "startup election")
-        for i, ag in enumerate(self.agents):
-            ag.assume_startup_role(winner)
+            ag.startup_plan(self._ctx(i, []))
             if ag.role == SECONDARY:
                 self._log_event(i, "role_change", ag.role)
+        self.agents[0].open_election(self._ctx(0, []))
+        self._log_event(0, "election_open", "startup election")
+        for _ in range(3 * (self.n - 1) + 1):
+            self._message_round(adj, RobotAgent.exchange)
 
     # -- main loop ---------------------------------------------------------------
 
@@ -272,23 +274,29 @@ class Simulation:
 
     # -- per-round / per-tick pieces ------------------------------------------
 
-    def _plan_round(self, adj):
+    def _ctx(self, i, inbox):
+        return PlanContext(
+            round=self.round,
+            n=self.n,
+            q=self.q[i],
+            inbox=inbox,
+            send=lambda kind, payload: self.net.send(i, kind, payload),
+            plan=self._plan,
+            log_event=lambda e, det: self._log_event(i, e, det),
+        )
+
+    def _message_round(self, adj, step):
+        """Deliver one round and run step(agent, ctx) for every robot."""
         inboxes = self.net.deliver_round(adj)
         for i, ag in enumerate(self.agents):
-            ctx = PlanContext(
-                round=self.round,
-                n=self.n,
-                q=self.q[i],
-                inbox=inboxes[i],
-                send=lambda kind, payload, i=i: self.net.send(i, kind, payload),
-                plan=self._plan,
-                log_event=lambda e, det, i=i: self._log_event(i, e, det),
-            )
             before = ag.role
-            ag.plan_tick(ctx)
+            step(ag, self._ctx(i, inboxes[i]))
             if ag.role != before and ag.role in (PRIME, SECONDARY):
                 self._log_event(i, "role_change", ag.role)
         self.round += 1
+
+    def _plan_round(self, adj):
+        self._message_round(adj, RobotAgent.plan_tick)
         primes = sum(a.role == PRIME for a in self.agents)
         self.mon.max_prime_count = max(self.mon.max_prime_count, primes)
         secondaries = any(a.role == SECONDARY for a in self.agents)

@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 from conexplore import harness
-from conexplore.behavior import adaptive_gain, consensus_step, elect_winner, run_flooding_election
+from conexplore.behavior import adaptive_gain, consensus_step, elect_winner
 from conexplore.connectivity import WeightFactors, fiedler, lambda2_gradient, laplacian
 from conexplore.dynamics import ReferenceFilter
 from conexplore.planner import NoPath, astar
 from conexplore.world import ObstacleSet, SensingParams, rasterize
 from record_golden import GOLDEN_PATH, changed_fields, trial_key, trial_record
+from static_team import run_election
 
 SUITE = [
     ("scenarios/walled_15x20.json", (0, 4), tuple(range(20))),
@@ -335,7 +336,7 @@ def test_10_election_matches_oracle():
         for i in rng.choice(n, size=m, replace=False):
             d = float(rng.integers(1, 4)) if quantize else float(rng.random() * 10)
             cands[int(i)] = d
-        winner, rounds = run_flooding_election(adj, host, cands)
+        winner, rounds = run_election(adj, host, cands)
         if rounds > 2 * (n - 1) or winner != elect_winner(cands.items()):
             ok = False
         cases += 1

@@ -16,13 +16,12 @@ from conexplore.behavior import (
     consensus_step,
     direction_alignment,
     elect_winner,
-    presence_flood,
     ramp,
-    run_flooding_election,
     travel_force,
     traveling_efficiency,
 )
 from conexplore.planner import SmoothPath, path_kinematics
+from static_team import StaticTeam, run_election
 
 BP = BehaviorParams(R_z=1.0, v_cruise=1.0, x_c=0.1, x_M=0.6)
 
@@ -275,16 +274,16 @@ class TestElectWinner:
 class TestFloodingElection:
     def test_host_decides_within_window(self):
         adj = line_graph(5)
-        winner, rounds = run_flooding_election(adj, host=0, candidacies={2: 4.0, 4: 1.5})
+        winner, rounds = run_election(adj, host=0, candidacies={2: 4.0, 4: 1.5})
         assert winner == 4
         assert rounds <= 2 * (5 - 1)
 
     def test_no_candidates_gives_none(self):
-        winner, _ = run_flooding_election(line_graph(3), host=1, candidacies={})
+        winner, _ = run_election(line_graph(3), host=1, candidacies={})
         assert winner is None
 
     def test_host_candidacy_counts(self):
-        winner, _ = run_flooding_election(line_graph(3), host=0, candidacies={0: 1.0, 2: 5.0})
+        winner, _ = run_election(line_graph(3), host=0, candidacies={0: 1.0, 2: 5.0})
         assert winner == 0
 
     def test_random_graphs_match_oracle(self):
@@ -296,23 +295,127 @@ class TestFloodingElection:
             host = int(rng.integers(0, n))
             m = int(rng.integers(0, n + 1))
             cands = {int(i): float(rng.random() * 10) for i in rng.choice(n, size=m, replace=False)}
-            winner, rounds = run_flooding_election(adj, host, cands)
+            winner, rounds = run_election(adj, host, cands)
             assert rounds <= 2 * (n - 1)
             assert winner == elect_winner(cands.items())
 
 
 class TestPresenceFlood:
+    """A connector that takes a new target floods a presence query: it follows
+    a prime that answers within 2(N-1) rounds, or else promotes itself."""
+
+    @staticmethod
+    def run(adj, prime=None):
+        team = StaticTeam(adj)
+        for i in range(team.n):
+            if i == prime:
+                team.travel(i, 5.0, PRIME)
+            else:
+                team.queue(i, 2.0)
+        for _ in range(6 * (team.n - 1)):
+            team.step()
+        return team
+
     def test_everyone_learns_of_prime(self):
-        ans = presence_flood(line_graph(6), is_prime=[False] * 5 + [True])
-        assert all(ans.values())
+        team = self.run(line_graph(6), prime=5)
+        assert [ag.role for ag in team.agents] == [SECONDARY] * 5 + [PRIME]
+        assert team.max_primes == 1
+        assert max(r for r, _, e, _ in team.events if e == "role_change") <= 2 * (6 - 1)
 
     def test_no_prime_all_false(self):
-        ans = presence_flood(line_graph(4), is_prime=[False] * 4)
-        assert not any(ans.values())
+        # no reply comes: the lowest index promotes itself, the rest defer to it
+        team = self.run(line_graph(4))
+        assert [ag.role for ag in team.agents] == [PRIME] + [SECONDARY] * 3
+        assert team.max_primes == 1
+        assert [(r, i) for r, i, e, _ in team.events if e == "winner"] == [(2 * (4 - 1), 0)]
 
     def test_prime_outside_component_invisible(self):
         adj = np.zeros((4, 4), dtype=bool)
         adj[0, 1] = adj[1, 0] = True
         adj[2, 3] = adj[3, 2] = True
-        ans = presence_flood(adj, is_prime=[False, False, True, False])
-        assert ans == {0: False, 1: False, 2: True, 3: True}
+        team = self.run(adj, prime=2)
+        assert [ag.role for ag in team.agents] == [PRIME, SECONDARY, PRIME, SECONDARY]
+
+
+def hops_from(adj, src):
+    """Breadth-first hop counts from src."""
+    hops = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for j in np.nonzero(adj[i])[0]:
+                if int(j) not in hops:
+                    hops[int(j)] = hops[i] + 1
+                    nxt.append(int(j))
+        frontier = nxt
+    return hops
+
+
+# quantized distances force index tie-breaks; every target lies beyond the
+# arrival radius, so a robot that stands still never reaches it
+distances = st.one_of(st.integers(1, 3).map(float), st.floats(1.0, 10.0))
+
+
+@st.composite
+def protocol_cases(draw):
+    """(adj, host, candidacies, queries): a random connected graph on 2-10
+    robots, a host, and among the others candidates with their distances and
+    connectors with the round at which each takes a target and its distance."""
+    n = draw(st.integers(2, 10))
+    order = draw(st.permutations(range(n)))
+    adj = np.zeros((n, n), dtype=bool)
+    for k in range(1, n):
+        i, j = order[k], order[draw(st.integers(0, k - 1))]
+        adj[i, j] = adj[j, i] = True
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
+        if i != j:
+            adj[i, j] = adj[j, i] = True
+    host = draw(st.integers(0, n - 1))
+    cands, queries = {}, {}
+    for i in range(n):
+        kind = "host" if i == host else draw(st.sampled_from(("idle", "candidate", "connector")))
+        if kind == "candidate":
+            cands[i] = draw(distances)
+        elif kind == "connector":
+            queries[i] = (draw(st.integers(0, 4 * (n - 1))), draw(distances))
+    return adj, host, cands, queries
+
+
+class TestProtocolProperties:
+    @given(protocol_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_handoff_with_presence_queries(self, case):
+        # a prime at its target hosts the hand-off while connectors take new
+        # targets at drawn rounds; one that does so before the opening reaches
+        # it is pending when the opening arrives, and stands on that path
+        adj, host, cands, queries = case
+        n = len(adj)
+        team = StaticTeam(adj)
+        team.travel(host, 0.5, PRIME)
+        for i, d in cands.items():
+            team.travel(i, d)
+        hops = hops_from(adj, host)
+        early = [(i, d) for i, (r, d) in queries.items() if r < hops[i]]
+        expected = elect_winner([*cands.items(), *early])
+        primes_after = []
+        last = max((r for r, _ in queries.values()), default=0) + 2 * (n - 1) * (n + 2)
+        for rnd in range(last):
+            for i, (r, d) in queries.items():
+                if r == rnd:
+                    team.queue(i, d)
+            team.step()
+            primes_after.append(team.primes())
+        # never two primes at once
+        assert team.max_primes <= 1
+        # the oracle's choice takes over, and keeps the role on its long path
+        if expected is not None:
+            assert team.primes() == [expected]
+        # a connector that queries while a prime exists follows it in time
+        for r, i, e, det in team.events:
+            if e == "election_open" and det == "presence query" and primes_after[r]:
+                followed = [
+                    rr for rr, j, ee, dd in team.events
+                    if j == i and ee == "role_change" and dd == SECONDARY and r < rr <= r + 2 * (n - 1)
+                ]
+                assert followed, (i, r)

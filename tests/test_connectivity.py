@@ -8,7 +8,6 @@ from conexplore.connectivity import (
     ConnectivityViolation,
     WeightFactors,
     connectivity_potential,
-    edge_weight,
     evaluate_field,
     fiedler,
     lambda2_gradient,
@@ -47,43 +46,22 @@ class TestRamps:
 
 
 class TestEdgeWeight:
+    @staticmethod
+    def w01(q, obstacles=EMPTY):
+        return WeightFactors(np.asarray(q, dtype=float), obstacles, P).weight_matrix()[0, 1]
+
     def test_zero_at_sensing_range(self):
-        q = np.array([[0, 0, 0], [6.0, 0, 0]], dtype=float)
-        w, _ = edge_weight(0, 1, q, EMPTY, P)
-        assert w == 0.0
+        assert self.w01([[0, 0, 0], [6.0, 0, 0]]) == 0.0
 
     def test_zero_at_obstacle_floor(self):
         obs = ObstacleSet([[1.0, 0.75, 0.0]])
-        q = np.array([[0, 0, 0], [2.0, 0, 0]], dtype=float)
-        w, _ = edge_weight(0, 1, q, obs, P)
-        assert w == pytest.approx(0.0, abs=1e-15)
+        assert self.w01([[0, 0, 0], [2.0, 0, 0]], obs) == pytest.approx(0.0, abs=1e-15)
 
     def test_plateau_gives_unit_weight_zero_gradient(self):
         # R_c_outer and R_s_inner plateaus touch exactly at 2.5
-        q = np.array([[0, 0, 0], [2.5, 0, 0]], dtype=float)
-        w, g = edge_weight(0, 1, q, EMPTY, P)
-        assert w == 1.0
-        assert np.allclose(g, 0.0)
-
-    def test_same_index_rejected(self):
-        q = np.zeros((2, 3))
-        with pytest.raises(ValueError):
-            edge_weight(1, 1, q, EMPTY, P)
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(5)
-        h = 1e-7
-        for _ in range(10):
-            q = spread_positions(rng, 4)
-            _, g = edge_weight(0, 1, q, EMPTY, P)
-            for d in range(3):
-                qp = q.copy()
-                qp[0, d] += h
-                qm = q.copy()
-                qm[0, d] -= h
-                wp, _ = edge_weight(0, 1, qp, EMPTY, P)
-                wm, _ = edge_weight(0, 1, qm, EMPTY, P)
-                assert g[d] == pytest.approx((wp - wm) / (2 * h), abs=1e-5)
+        f = WeightFactors(np.array([[0, 0, 0], [2.5, 0, 0]], dtype=float), EMPTY, P)
+        assert f.weight_matrix()[0, 1] == 1.0
+        assert f.range_d[0, 1] == 0.0 and f.coll_d[0, 1] == 0.0
 
 
 class TestObstacleView:

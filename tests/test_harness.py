@@ -324,8 +324,9 @@ class TestCli:
             ("sensing", "R_s_inner", 99.0, "bad sensing: need 0 < R_s_inner < R_s"),
             ("sensing", "R_S", 8.0, "bad sensing: "),
             ("behavior", "sigma", "3", "bad behavior: "),
+            ("obstacles", "points", [[1.0, 2.0]], "bad obstacles: "),
         ],
-        ids=["R_s_inner_above_R_s", "unknown_key", "string_for_number"],
+        ids=["R_s_inner_above_R_s", "unknown_key", "string_for_number", "malformed_obstacle_points"],
     )
     def test_bad_parameter_value_exits_4(self, tmp_path, capsys, section, key, value, message):
         cfg = json.loads(Path("scenarios/single_robot.json").read_text())

@@ -3,7 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conexplore.netsim import CANDIDACY, Message, Network, flood
+from conexplore.netsim import CANDIDACY, Message, Network
+
+
+def flood(adj: np.ndarray, src: int, rounds_budget: int):
+    """Flood one message on a static graph; map robot -> delivery round (None if missed)."""
+    adj = np.asarray(adj, dtype=bool)
+    n = adj.shape[0]
+    net = Network(n)
+    net.send(src, "flood", ())
+    received = {i: None for i in range(n)}
+    received[src] = 0
+    for r in range(1, rounds_budget + 1):
+        inboxes = net.deliver_round(adj)
+        for i in range(n):
+            if inboxes[i] and received[i] is None:
+                received[i] = r
+    return received
 
 
 def line_graph(n):

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -89,3 +90,21 @@ def test_startup_secondary_logs_its_role(two_explorers):
     _metrics, result = harness.run_trial(two_explorers)
     events = [e for e in result.events if e[1] == 1 and e[2] == "role_change"]
     assert events[0] == (0.0, 1, "role_change", SECONDARY)
+
+
+def test_startup_election_runs_on_the_network(two_explorers, tmp_path):
+    # the first election floods over the team's own network: its messages are
+    # in messages.csv, in the 3(N-1)+1 rounds delivered at t = 0 before the
+    # first planning round, and the winner is prime from the first tick
+    harness.run_trial(two_explorers, trace_dir=tmp_path)
+    n = len(two_explorers.robots)
+
+    def rows(name):
+        with open(tmp_path / name, newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    startup = {r["kind"] for r in rows("messages.csv") if int(r["round"]) <= 3 * (n - 1)}
+    assert {"election_open", "candidacy", "winner_announce"} <= startup
+    winners = [int(e["robot_id"]) for e in rows("events.csv") if e["event"] == "winner" and float(e["t"]) == 0.0]
+    first_tick = [r for r in rows("robots.csv")[:n] if int(r["role_code"]) == 1]
+    assert [int(r["robot_id"]) for r in first_tick] == winners == [0]
