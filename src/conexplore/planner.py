@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.optimize import minimize_scalar
 
 from .world import OccupancyGrid
 
@@ -38,12 +38,6 @@ class GridPath:
 
     def __len__(self):
         return len(self.waypoints)
-
-    @property
-    def cost(self) -> float:
-        if len(self.waypoints) < 2:
-            return 0.0
-        return float(np.linalg.norm(np.diff(self.waypoints, axis=0), axis=1).sum())
 
 
 def astar(grid: OccupancyGrid, start, goal) -> GridPath:
@@ -125,12 +119,11 @@ class SmoothPath:
         self.waypoints = wp
         self.start = wp[0].copy()
         self.target = wp[-1].copy()
-        self._spline = None
+        self._straight = False
 
         if len(wp) == 1:
             self._samples = wp.copy()
             self._s = np.zeros(1)
-            self._u = np.zeros(1)
             self._tan = np.zeros((1, 3))
             self._curv = np.zeros((1, 3))
             self.total_length = 0.0
@@ -145,19 +138,19 @@ class SmoothPath:
             pts = wp[0] + u[:, None] * direction
             self._samples = pts
             self._s = u.copy()
-            self._u = u.copy()
             self._tan = np.tile(direction, (m, 1))
             self._curv = np.zeros((m, 3))
             self.total_length = float(total)
+            self._straight = True
             return
 
         chord = np.r_[0.0, np.cumsum(np.linalg.norm(np.diff(wp, axis=0), axis=1))]
-        self._spline = CubicSpline(chord, wp, axis=0, bc_type="natural")
+        spline = CubicSpline(chord, wp, axis=0, bc_type="natural")
         m = max(16, int(np.ceil(chord[-1] / sample_step)) + 1)
         u = np.linspace(0.0, chord[-1], m)
-        pts = self._spline(u)
-        d1 = self._spline(u, 1)
-        d2 = self._spline(u, 2)
+        pts = spline(u)
+        d1 = spline(u, 1)
+        d2 = spline(u, 2)
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         s = np.r_[0.0, np.cumsum(seg)]
         speed = np.linalg.norm(d1, axis=1)
@@ -168,7 +161,6 @@ class SmoothPath:
         curv = (d2 - d1 * proj[:, None]) / speed[:, None] ** 2
         self._samples = pts
         self._s = s
-        self._u = u
         self._tan = tan
         self._curv = curv
         self.total_length = float(s[-1])
@@ -179,87 +171,31 @@ class SmoothPath:
     def degenerate(self) -> bool:
         return self.total_length == 0.0
 
-    def _u_of_s(self, s: float) -> float:
-        return float(np.interp(s, self._s, self._u))
+    def _nearest(self, q, lo: int, hi: int):
+        """Closest point to q among table rows lo..hi; returns (point, s).
 
-    def _s_of_u(self, u: float) -> float:
-        return float(np.interp(u, self._u, self._s))
-
-    def point_at(self, s: float) -> np.ndarray:
-        if self.degenerate:
-            return self.start.copy()
-        if self._spline is not None:
-            return np.asarray(self._spline(self._u_of_s(s)))
-        return self.start + np.clip(s, 0.0, self.total_length) * self._tan[0]
-
-    def closest_point(self, q, s_hint=None, window=None):
-        """Global (or windowed) closest point; ties break to the largest s.
-
-        Returns (point, s).
+        Straight paths project exactly.  Otherwise the nearest row k is
+        refined by the parabola through the squared distances of rows k - 1,
+        k and k + 1, so accuracy is bounded by the table spacing.  Rows within
+        1e-9 m of the nearest break the tie to the largest s.
         """
         q = np.asarray(q, dtype=float)
         if self.degenerate:
             return self.start.copy(), 0.0
-        lo_i, hi_i = 0, len(self._samples) - 1
-        if s_hint is not None and window is not None:
-            lo_i = int(np.searchsorted(self._s, s_hint - window)) - 1
-            hi_i = int(np.searchsorted(self._s, s_hint + window)) + 1
-            lo_i = max(0, lo_i)
-            hi_i = min(len(self._samples) - 1, hi_i)
-        d = np.linalg.norm(self._samples[lo_i : hi_i + 1] - q, axis=1)
-        dmin = d.min()
-        # largest-arc-length tie rule among near-equal sample minima
-        tied = np.nonzero(d <= dmin + 1e-9)[0]
-        k = lo_i + int(tied[-1])
-        return self._refine_closest(q, k)
-
-    def _refine_closest(self, q, k):
-        if self._spline is None:
-            # exact projection onto the straight segment
+        if self._straight:
             direction = self._tan[0]
             s = float(np.clip((q - self.start) @ direction, 0.0, self.total_length))
             return self.start + s * direction, s
-        lo = self._u[max(0, k - 1)]
-        hi = self._u[min(len(self._u) - 1, k + 1)]
-        if hi <= lo:
-            u_best = self._u[k]
-        else:
-            res = minimize_scalar(
-                lambda u: float(((self._spline(u) - q) ** 2).sum()),
-                bounds=(lo, hi),
-                method="bounded",
-                options={"xatol": 1e-10},
-            )
-            u_best = float(res.x)
-            # endpoint guard: bounded search can stall a hair inside the bracket
-            for u_edge in (lo, hi):
-                if ((np.asarray(self._spline(u_edge)) - q) ** 2).sum() < (
-                    (np.asarray(self._spline(u_best)) - q) ** 2
-                ).sum():
-                    u_best = u_edge
-        return np.asarray(self._spline(u_best)), self._s_of_u(u_best)
-
-    def track(self, q, s_hint: float, window: float = 0.5):
-        """Fast windowed closest-point query for high-rate tracking.
-
-        Sample argmin plus parabolic refinement on the dense table; accuracy
-        is bounded by the table resolution.  Returns (point, s).
-        """
-        q = np.asarray(q, dtype=float)
-        if self.degenerate:
-            return self.start.copy(), 0.0
-        if self._spline is None:
-            return self._refine_closest(q, 0)
-        lo = max(0, int(self._s.searchsorted(s_hint - window)) - 1)
-        hi = min(len(self._samples) - 1, int(self._s.searchsorted(s_hint + window)) + 1)
-        d2 = ((self._samples[lo : hi + 1] - q) ** 2).sum(axis=1)
-        k_rel = int(np.argmin(d2))
+        d2 = ((self._samples[lo : hi + 1] - q) ** 2).sum(axis=1).tolist()
+        dmin2 = min(d2)
+        tie = max(dmin2, (math.sqrt(dmin2) + 1e-9) ** 2)
+        k_rel = len(d2) - 1
+        while d2[k_rel] > tie:
+            k_rel -= 1
         k = lo + k_rel
         if 0 < k < len(self._s) - 1:
             if 0 < k_rel < hi - lo:
-                a = float(d2[k_rel - 1])
-                b = float(d2[k_rel])
-                c = float(d2[k_rel + 1])
+                a, b, c = d2[k_rel - 1 : k_rel + 2]
             else:
                 a = float(((self._samples[k - 1] - q) ** 2).sum())
                 b = float(((self._samples[k] - q) ** 2).sum())
@@ -275,10 +211,16 @@ class SmoothPath:
             return p, float(s)
         return self._samples[k].copy(), float(self._s[k])
 
+    def closest_point(self, q):
+        """Closest point to q on the whole path; returns (point, s)."""
+        return self._nearest(q, 0, len(self._s) - 1)
+
     def track_frame(self, q, s_hint: float, window: float, v_cruise: float, taper_len: float):
-        """Fused high-rate query: windowed closest point plus virtual-point
-        kinematics at that point.  Returns (q_gamma, s, v_gamma, a_gamma)."""
-        p, s = self.track(q, s_hint, window)
+        """Fused high-rate query: closest point within window of s_hint plus
+        virtual-point kinematics at that point.  Returns (q_gamma, s, v_gamma, a_gamma)."""
+        lo = max(0, int(self._s.searchsorted(s_hint - window)) - 1)
+        hi = min(len(self._s) - 1, int(self._s.searchsorted(s_hint + window)) + 1)
+        p, s = self._nearest(q, lo, hi)
         v, a = path_kinematics(self, s, v_cruise, taper_len)
         return p, s, v, a
 
@@ -302,14 +244,6 @@ class SmoothPath:
         if nt > 0:
             t = t / nt
         return t, (1.0 - w) * self._curv[i - 1] + w * self._curv[i]
-
-    def frame_at(self, s: float):
-        """(point, unit tangent, curvature vector) interpolated from the table."""
-        if self.degenerate:
-            return self.start.copy(), np.zeros(3), np.zeros(3)
-        i, w = self._locate(min(max(s, 0.0), self.total_length))
-        p = (1.0 - w) * self._samples[i - 1] + w * self._samples[i]
-        return (p, *self._tangent_curvature(i, w))
 
 
 def taper_factor(remaining: float, taper_len: float):

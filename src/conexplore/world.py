@@ -128,14 +128,6 @@ def near_pairs(ii, jj, clear, dist, radius):
     return ii[near], jj[near]
 
 
-def line_of_sight_clearance(qi, qj, obstacles: ObstacleSet) -> float:
-    """Min distance from the segment qi-qj to any obstacle point (+inf if none)."""
-    if obstacles.empty:
-        return INF
-    qa, qb = np.asarray([qi, qj], dtype=float)[:, None, :]
-    return float(segment_gaps(qa, qb, obstacles.points)[2].min())
-
-
 def adjacency(positions, obstacles: ObstacleSet, p: SensingParams) -> np.ndarray:
     """Boolean N x N neighbor matrix: range strictly < R_s and clearance >= R_o."""
     q = np.asarray(positions, dtype=float)
@@ -210,7 +202,5 @@ def rasterize(obstacles: ObstacleSet, bounds, R_grid: float) -> OccupancyGrid:
         axes = [lo[a] + (np.arange(dims[a]) + 0.5) * R_grid for a in range(3)]
         g = np.meshgrid(*axes, indexing="ij")
         centers = np.stack([c.ravel() for c in g], axis=1)
-        tree = cKDTree(obstacles.points)
-        d, _ = tree.query(centers)
-        occ = (d <= R_grid).reshape(dims)
+        occ = (obstacles.clearances(centers) <= R_grid).reshape(dims)
     return OccupancyGrid(origin=lo, cell_size=R_grid, dims=dims, occupied=occ)

@@ -19,6 +19,7 @@ from conexplore.connectivity import WeightFactors, fiedler, lambda2_gradient, la
 from conexplore.dynamics import ReferenceFilter
 from conexplore.planner import NoPath, astar
 from conexplore.world import ObstacleSet, SensingParams, rasterize
+from oracles import grid_path_cost
 from record_golden import GOLDEN_PATH, changed_fields, trial_key, trial_record
 from static_team import run_election
 
@@ -305,7 +306,7 @@ def test_09_planner_optimality_50_grids():
             with pytest.raises(NoPath):
                 astar(grid, grid.center(start), grid.center(goal))
         else:
-            got = astar(grid, grid.center(start), grid.center(goal)).cost
+            got = grid_path_cost(astar(grid, grid.center(start), grid.center(goal)))
             worst = max(worst, abs(got - ref))
     ok = worst < 1e-9
     _report(9, f"grid search optimal on 50 random grids (worst dev {worst:.1e})", ok)

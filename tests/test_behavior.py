@@ -21,6 +21,7 @@ from conexplore.behavior import (
     traveling_efficiency,
 )
 from conexplore.planner import SmoothPath, path_kinematics
+from oracles import SplineQuery
 from static_team import StaticTeam, run_election
 
 BP = BehaviorParams(R_z=1.0, v_cruise=1.0, x_c=0.1, x_M=0.6)
@@ -31,7 +32,7 @@ def frame(path, q, bp=BP, s=None):
     if s is None:
         _, s = path.closest_point(q)
     v_gamma, a_gamma = path_kinematics(path, s, bp.v_cruise, bp.R_z)
-    return path.point_at(s), v_gamma, a_gamma
+    return SplineQuery(path).point_at(s), v_gamma, a_gamma
 
 
 unit_float = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -139,7 +140,7 @@ class TestTravelingEfficiency:
     PATH = SmoothPath([[0, 0, 0], [10, 0, 0]])
 
     def test_perfect_tracking_is_one(self):
-        q = self.PATH.point_at(3.0)
+        q = SplineQuery(self.PATH).point_at(3.0)
         v = [BP.v_cruise, 0.0, 0.0]
         assert traveling_efficiency(q, v, frame(self.PATH, q, s=3.0), BP) == 1.0
 

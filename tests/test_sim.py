@@ -6,6 +6,7 @@ import pytest
 
 from conexplore import connectivity, harness, sim, world
 from conexplore.behavior import SECONDARY
+from conexplore.planner import SmoothPath
 
 # every control law and the integrator, at the name conexplore.sim calls it by
 LAWS = (
@@ -83,6 +84,36 @@ def test_simulation_runs_the_tested_kernel(monkeypatch):
     state = sim.evaluate_field(q, wall, sensing, connectivity.ConnectivityParams())
     assert not adj[0, 1] and state.W[0, 1] == 0.0
     assert calls == {"conexplore.world": 1, "conexplore.connectivity": 1}
+
+
+def test_path_queries_run_the_tested_kernel(two_explorers, monkeypatch):
+    # the 250 Hz tracker and the 10 Hz drag-off and candidacy queries must
+    # each reach the one nearest-point kernel that tests/test_planner.py checks
+    queries = {"track_frame": 0, "closest_point": 0}
+    kernel_calls = dict.fromkeys(queries, 0)
+    active = []
+    kernel = SmoothPath._nearest
+
+    def counted_kernel(self, *args):
+        kernel_calls[active[-1]] += 1
+        return kernel(self, *args)
+
+    monkeypatch.setattr(SmoothPath, "_nearest", counted_kernel)
+    for name in queries:
+        query = getattr(SmoothPath, name)
+
+        def entered(self, *args, _name=name, _query=query):
+            queries[_name] += 1
+            active.append(_name)
+            try:
+                return _query(self, *args)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(SmoothPath, name, entered)
+    metrics, result = harness.run_trial(two_explorers)
+    assert metrics.completed and result.fault is None
+    assert all(queries.values()) and kernel_calls == queries, (queries, kernel_calls)
 
 
 def test_startup_secondary_logs_its_role(two_explorers):

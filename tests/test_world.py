@@ -7,10 +7,10 @@ from conexplore.world import (
     ObstacleSet,
     SensingParams,
     adjacency,
-    line_of_sight_clearance,
     rasterize,
     sample_box,
 )
+from oracles import line_of_sight_clearance
 
 P = SensingParams(
     R_s=6.0, R_s_inner=2.5, R_o=0.75, R_o_outer=1.75, R_c=1.0, R_c_outer=2.5, R_m=4.0
