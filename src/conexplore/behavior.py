@@ -263,6 +263,8 @@ class RobotAgent:
         window_end = ctx.round + 2 * (ctx.n - 1)
         msg = ctx.send(netsim.ELECTION_OPEN, (window_end,))
         d = self._candidacy_distance(ctx.q)
+        if d is not None:
+            ctx.log_event("candidacy", f"d_gamma={d:.3f}")
         self.hosting = {
             "id": (self.index, msg.seq),
             "window_end": window_end,

@@ -155,8 +155,8 @@ class Simulation:
             ag.startup_plan(self._ctx(i, []))
             if ag.role == SECONDARY:
                 self._log_event(i, "role_change", ag.role)
-        self.agents[0].open_election(self._ctx(0, []))
         self._log_event(0, "election_open", "startup election")
+        self.agents[0].open_election(self._ctx(0, []))
         for _ in range(3 * (self.n - 1) + 1):
             self._message_round(adj, RobotAgent.exchange)
 

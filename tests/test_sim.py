@@ -123,6 +123,13 @@ def test_startup_secondary_logs_its_role(two_explorers):
     assert events[0] == (0.0, 1, "role_change", SECONDARY)
 
 
+def test_startup_host_logs_its_candidacy(two_explorers):
+    # robot 0 hosts the first election and stands in it, like robot 1 does
+    _metrics, result = harness.run_trial(two_explorers)
+    startup = [e[:3] for e in result.events if e[0] == 0.0 and e[2] == "candidacy"]
+    assert sorted(startup) == [(0.0, 0, "candidacy"), (0.0, 1, "candidacy")]
+
+
 def test_startup_election_runs_on_the_network(two_explorers, tmp_path):
     # the first election floods over the team's own network: its messages are
     # in messages.csv, in the 3(N-1)+1 rounds delivered at t = 0 before the
