@@ -166,9 +166,13 @@ class TestSmoothPath:
         # kappa h^2 / 4 of the spline's.  When the nearest row is an end row
         # nothing is refined, and that row is within h / 2 of the nearest point.
         rng = np.random.default_rng(4)
-        for n, step in ((6, 0.02), (5, 0.05), (7, 0.05)):
-            wp = np.cumsum(rng.normal(size=(n, 3)), axis=0)
-            p = SmoothPath(wp, sample_step=step)
+        paths = [
+            SmoothPath([[0, 0, 0], [1, 0.5, 0], [2, 0, 0]]),
+            SmoothPath(np.cumsum(rng.random((6, 3)) + 0.2, axis=0), sample_step=0.02),
+            SmoothPath(np.cumsum(rng.normal(size=(5, 3)), axis=0), sample_step=0.05),
+            SmoothPath(np.cumsum(rng.normal(size=(7, 3)), axis=0), sample_step=0.05),
+        ]
+        for p in paths:
             oracle = SplineQuery(p)
             h = np.diff(p._s).max()
             kappa = np.linalg.norm(p._curv, axis=1).max()
@@ -188,11 +192,13 @@ class TestSmoothPath:
         assert p.remaining_length(s) == pytest.approx(7.0, abs=1e-9)
 
     def test_tie_breaks_to_largest_arc_length(self):
-        # U-shaped path; the probe sits equidistant from both legs
+        # U-shaped path; each probe sits equidistant from both legs.  Rounding
+        # puts the exact row minimum on the first leg for x = 1.0 and 1.5
         wp = [[0, 0, 0], [4, 0, 0], [4, 2, 0], [0, 2, 0]]
         p = SmoothPath(wp)
-        pt, s = p.closest_point([2.0, 1.0, 0.0])
-        assert s > p.total_length / 2
+        for x in (1.0, 1.5, 2.0):
+            pt, s = p.closest_point([x, 1.0, 0.0])
+            assert s > p.total_length / 2
 
     def test_remaining_length_bounds(self):
         p = SmoothPath([[0, 0, 0], [2, 0, 0]])
