@@ -1,9 +1,8 @@
-"""Reference computations that the tests check the program's fast paths against.
+"""Reference computations that the tests check the program against.
 
-Each is the direct, slower way to get a quantity that `src/` computes on its
-own: the spline a `SmoothPath` was sampled from, queried by a bounded scalar
-search; the segment clearance by the segment-obstacle kernel on one segment;
-a grid path's length by summing its steps.
+The spline a `SmoothPath` table samples, queried by a bounded scalar search
+instead of the table; the clearance of one segment through the
+segment-obstacle kernel; the length of a grid path, summed step by step.
 """
 
 from __future__ import annotations
