@@ -184,6 +184,39 @@ class TestSmoothPath:
                     bound = kappa * h**2 / 4 + (h / 2 if s in (p._s[0], p._s[-1]) else 0.0)
                     assert abs(np.linalg.norm(pt - q) - np.linalg.norm(ref - q)) <= bound
 
+    def test_closest_point_on_path(self):
+        # a probe on the spline is its own nearest point under the spline
+        # query the kernel is checked against, and the kernel finds it within
+        # the table bound kappa h^2 / 4
+        p = SmoothPath([[0, 0, 0], [1, 0.5, 0], [2, 0, 0]])
+        oracle = SplineQuery(p)
+        probe = oracle.point_at(0.7)
+        ref, _ = oracle.closest_point(probe)
+        assert np.linalg.norm(ref - probe) < 1e-6
+        pt, s = p.closest_point(probe)
+        h = np.diff(p._s).max()
+        kappa = np.linalg.norm(p._curv, axis=1).max()
+        assert np.linalg.norm(pt - probe) <= kappa * h**2 / 4
+        assert abs(s - 0.7) <= h
+
+    def test_closest_point_matches_dense_sampling(self):
+        # the spline query is never farther than the best table row; the
+        # kernel is within the table bound of the spline query, so within
+        # that bound of the best row
+        rng = np.random.default_rng(4)
+        wp = np.cumsum(rng.random((6, 3)) + 0.2, axis=0)
+        p = SmoothPath(wp, sample_step=0.02)
+        oracle = SplineQuery(p)
+        h = np.diff(p._s).max()
+        kappa = np.linalg.norm(p._curv, axis=1).max()
+        for _ in range(20):
+            q = rng.random(3) * 4
+            dense = np.linalg.norm(p._samples - q, axis=1).min()
+            ref, _ = oracle.closest_point(q)
+            assert np.linalg.norm(ref - q) <= dense + 1e-6
+            pt, s = p.closest_point(q)
+            assert np.linalg.norm(pt - q) <= dense + 1e-6 + kappa * h**2 / 4
+
     def test_straight_segment_projection(self):
         p = SmoothPath([[0, 0, 0], [10, 0, 0]])
         pt, s = p.closest_point([3, 4, 0])
