@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import os
+import subprocess
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +38,8 @@ from .connectivity import ConnectivityParams, ConnectivityViolation, evaluate_fi
 from .dynamics import BodyParams, ReferenceFilter, SimulationFault, integrate_step
 from .planner import NoPath, OccupiedEndpoint, SmoothPath, astar
 from .world import ObstacleSet, OccupancyGrid, SensingParams, adjacency
+
+TRACE_WRITER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "trace_writer.py")
 
 
 @dataclass
@@ -70,6 +74,7 @@ class Simulation:
 
     FIELD_EVERY = 10  # control ticks per connectivity evaluation
     PLAN_EVERY = 100  # control ticks per planning / message round
+    TRACE_BLOCK = 256  # traced ticks per block of robots.csv rows sent to the writer
 
     def __init__(
         self,
@@ -197,7 +202,8 @@ class Simulation:
 
         tick = 0
         max_ticks = int(round(self.timeout / dt))
-        trace_fh = self._open_robot_trace() if self.trace_dir else None
+        rr = self._min_pairwise()  # at the current q, for the connectivity trace
+        writer = self._open_robot_trace() if self.trace_dir else None
         try:
             while not completed and tick < max_ticks:
                 if tick % self.FIELD_EVERY == 0:
@@ -212,7 +218,8 @@ class Simulation:
                     lam2_sum += field_state.lambda2
                     lam2_n += 1
                     min_lam2 = min(min_lam2, field_state.lambda2)
-                    min_clear = min(min_clear, self._min_clearance())
+                    clear = self._min_clearance()
+                    min_clear = min(min_clear, clear)
                     max_stretch = max(max_stretch, self._stretch(explorer))
                     if field_state.degenerate:
                         self.mon.degenerate_ticks += 1
@@ -222,8 +229,8 @@ class Simulation:
                                 self.t,
                                 field_state.lambda2,
                                 int((field_state.W > 0).sum() // 2),
-                                self._min_pairwise(),
-                                self._min_clearance(),
+                                rr,
+                                clear,
                             )
                         )
 
@@ -239,20 +246,21 @@ class Simulation:
                 self.q, self.v = integrate_step(self.q, self.v, f_total, body, dt)
                 dq = dt * self.v  # the position step just taken
                 traveled += np.sqrt((dq * dq).sum(axis=1))
-                min_rr = min(min_rr, self._min_pairwise())
+                rr = self._min_pairwise()
+                min_rr = min(min_rr, rr)
                 for ag in self.agents:
                     if ag.role == ANCHOR:
                         ag.dwell_elapsed += dt
                 self.t += dt
                 tick += 1
-                if trace_fh is not None:
+                if writer is not None:
                     self._trace_tick()
         except (ConnectivityViolation, AnchorViolation, SimulationFault) as exc:
             fault = f"{type(exc).__name__}: {exc}"
             self._log_event(-1, "fault", fault)
         finally:
-            if trace_fh is not None:
-                trace_fh.close()
+            if writer is not None:
+                self._close_robot_trace()
 
         self.mon.targets_done = sum(a.targets_done for a in self.agents)
         if self.trace_dir:
@@ -376,27 +384,71 @@ class Simulation:
     # -- tracing -------------------------------------------------------------------
 
     def _open_robot_trace(self):
-        """Open robots.csv, written tick by tick as the run proceeds."""
+        """Open and head robots.csv, and start the process that writes its rows.
+
+        Each traced tick fills one row of a float64 block of TRACE_BLOCK ticks;
+        a full block goes as raw bytes to trace_writer.py, whose stdout is
+        robots.csv and which formats the rows as csv.writer would.  So the text
+        is made beside the loop, not in it, and the file is the same.
+        """
         os.makedirs(self.trace_dir, exist_ok=True)
-        fh = open(os.path.join(self.trace_dir, "robots.csv"), "w", newline="")
-        self._robots_csv = csv.writer(fh)
         head = ["t", "robot_id", "x", "y", "z", "vx", "vy", "vz", "role_code"]
         if self._filter is not None:
             head += ["xf", "yf", "zf", "vxf", "vyf", "vzf"]
-        self._robots_csv.writerow(head)
-        return fh
+        self._block = np.empty((self.TRACE_BLOCK, self.n, len(head)))
+        self._block[:, :, 1] = np.arange(self.n)
+        self._block_ticks = 0
+        template = ",".join("%d" if c in ("robot_id", "role_code") else "%r" for c in head)
+        self._robots_path = os.path.join(self.trace_dir, "robots.csv")
+        with open(self._robots_path, "w", newline="") as fh:
+            csv.writer(fh).writerow(head)
+            fh.flush()
+            self._writer = subprocess.Popen(
+                [sys.executable, TRACE_WRITER, template, str(self.TRACE_BLOCK * self.n)],
+                stdin=subprocess.PIPE,
+                stdout=fh,
+                stderr=subprocess.PIPE,
+            )
+        return self._writer
 
     def _trace_tick(self):
-        q = self.q.tolist()
-        v = self.v.tolist()
-        rows = [
-            [self.t, i, *q[i], *v[i], ROLE_CODES[ag.role]] for i, ag in enumerate(self.agents)
-        ]
+        row = self._block[self._block_ticks]
+        row[:, 0] = self.t
+        row[:, 2:5] = self.q
+        row[:, 5:8] = self.v
+        row[:, 8] = [ROLE_CODES[ag.role] for ag in self.agents]
         if self._filter is not None:
             qf, qdf, _ = self._filter.step(self.q, self.dt)
-            for row, a, b in zip(rows, qf.tolist(), qdf.tolist()):
-                row += a + b
-        self._robots_csv.writerows(rows)
+            row[:, 9:12] = qf
+            row[:, 12:15] = qdf
+        self._block_ticks += 1
+        if self._block_ticks == self.TRACE_BLOCK:
+            self._send_block()
+
+    def _send_block(self):
+        stdin = self._writer.stdin
+        stdin.write(self._block[: self._block_ticks].data)
+        stdin.flush()
+        self._block_ticks = 0
+
+    def _close_robot_trace(self):
+        """Send the last rows and wait until the writer has finished robots.csv.
+
+        Raises OSError naming robots.csv when the writer failed."""
+        proc = self._writer
+        broken = False
+        try:
+            with proc.stdin:
+                if self._block_ticks:
+                    self._send_block()
+        except BrokenPipeError:
+            broken = True  # the writer quit early; its stderr says why
+        with proc.stderr:
+            reason = proc.stderr.read().decode(errors="replace").strip()
+        if proc.wait() != 0 or broken:
+            raise OSError(
+                f"{self._robots_path}: trace writer failed (exit {proc.returncode}): {reason or 'no message'}"
+            )
 
     def _write_traces(self):
         with open(os.path.join(self.trace_dir, "connectivity.csv"), "w", newline="") as fh:

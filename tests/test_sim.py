@@ -1,11 +1,13 @@
 import csv
 import json
+import subprocess
 
 import numpy as np
 import pytest
 
-from conexplore import connectivity, harness, sim, world
+from conexplore import cli, connectivity, harness, sim, world
 from conexplore.behavior import SECONDARY
+from conexplore.dynamics import SimulationFault
 from conexplore.planner import SmoothPath
 
 # every control law and the integrator, at the name conexplore.sim calls it by
@@ -146,3 +148,77 @@ def test_startup_election_runs_on_the_network(two_explorers, tmp_path):
     winners = [int(e["robot_id"]) for e in rows("events.csv") if e["event"] == "winner" and float(e["t"]) == 0.0]
     first_tick = [r for r in rows("robots.csv")[:n] if int(r["role_code"]) == 1]
     assert [int(r["robot_id"]) for r in first_tick] == winners == [0]
+
+
+@pytest.fixture
+def writers(monkeypatch):
+    """Every trace writer process the test starts."""
+    started = []
+    start = subprocess.Popen
+
+    def popen(*args, **kwargs):
+        started.append(start(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(sim.subprocess, "Popen", popen)
+    return started
+
+
+def _fail_at_tick(monkeypatch, k, action):
+    # integrate_step runs once per tick; its call k runs action instead
+    calls = []
+    step = sim.integrate_step
+
+    def counted(*args):
+        calls.append(None)
+        if len(calls) == k + 1:
+            action()
+        return step(*args)
+
+    monkeypatch.setattr(sim, "integrate_step", counted)
+
+
+def test_fault_mid_trial_keeps_every_traced_row(two_explorers, tmp_path, monkeypatch, writers):
+    # a fault at tick k, past the first block of rows: the trace ends with the
+    # k ticks completed, and the writer still exits cleanly
+    k = sim.Simulation.TRACE_BLOCK + 44
+
+    def fault():
+        raise SimulationFault("injected")
+
+    _fail_at_tick(monkeypatch, k, fault)
+    _metrics, result = harness.run_trial(two_explorers, trace_dir=tmp_path)
+    assert result.fault == "SimulationFault: injected"
+    with open(tmp_path / "robots.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    n = len(two_explorers.robots)
+    assert len(rows) == k * n
+    assert float(rows[-1]["t"]) == pytest.approx(k * two_explorers.dt)
+    assert [w.returncode for w in writers] == [0]
+
+
+def test_unwritable_robot_trace_raises(two_explorers, tmp_path, writers):
+    (tmp_path / "robots.csv").symlink_to("/dev/full")
+    with pytest.raises(OSError):
+        harness.run_trial(two_explorers, trace_dir=tmp_path)
+    assert all(w.poll() is not None for w in writers)
+
+
+def test_writer_that_dies_mid_trial_raises(two_explorers, tmp_path, monkeypatch, writers):
+    # the rows sent after the writer is gone fail, and the run says which file
+    def kill():
+        writers[0].kill()
+        writers[0].wait()
+
+    _fail_at_tick(monkeypatch, 10, kill)
+    with pytest.raises(OSError, match="robots.csv"):
+        harness.run_trial(two_explorers, trace_dir=tmp_path)
+    assert len(writers) == 1 and writers[0].poll() is not None
+
+
+def test_cli_unwritable_robot_trace_exits_4(tmp_path, capsys):
+    (tmp_path / "robots.csv").symlink_to("/dev/full")
+    rc = cli.main(["run", "--scenario", "scenarios/single_robot.json", "--trace-dir", str(tmp_path)])
+    assert rc == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
