@@ -39,7 +39,7 @@ from .dynamics import BodyParams, ReferenceFilter, SimulationFault, integrate_st
 from .planner import NoPath, OccupiedEndpoint, SmoothPath, astar
 from .world import ObstacleSet, OccupancyGrid, SensingParams, adjacency
 
-TRACE_WRITER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "trace_writer.py")
+TRACE_WRITER = os.path.join(os.path.dirname(__file__), "trace_writer.py")
 
 
 @dataclass
@@ -404,7 +404,7 @@ class Simulation:
             csv.writer(fh).writerow(head)
             fh.flush()
             self._writer = subprocess.Popen(
-                [sys.executable, TRACE_WRITER, template, str(self.TRACE_BLOCK * self.n)],
+                [sys.executable, "-I", TRACE_WRITER, template, str(self.TRACE_BLOCK * self.n)],
                 stdin=subprocess.PIPE,
                 stdout=fh,
                 stderr=subprocess.PIPE,
@@ -436,16 +436,15 @@ class Simulation:
 
         Raises OSError naming robots.csv when the writer failed."""
         proc = self._writer
-        broken = False
         try:
             with proc.stdin:
                 if self._block_ticks:
                     self._send_block()
         except BrokenPipeError:
-            broken = True  # the writer quit early; its stderr says why
+            pass  # the writer quit early; its exit status and stderr say why
         with proc.stderr:
             reason = proc.stderr.read().decode(errors="replace").strip()
-        if proc.wait() != 0 or broken:
+        if proc.wait() != 0:
             raise OSError(
                 f"{self._robots_path}: trace writer failed (exit {proc.returncode}): {reason or 'no message'}"
             )

@@ -8,8 +8,8 @@ is written as ROW_TEMPLATE % row plus '\\r\\n': '%r' gives a float the text
 `csv.writer` gives it and '%d' an integral value its integer text, so the
 file is byte for byte the one `csv.writer` would write.  Runs until stdin
 closes.  A failed write exits 1 with the reason on stderr.  An interrupt is
-ignored: the process that feeds stdin decides when the rows end.  Standard library
-only: it runs as a script, outside the package.
+ignored: the process that feeds stdin decides when the rows end.  Standard
+library only: it runs as a script, outside the package.
 """
 
 import os
@@ -24,15 +24,13 @@ def main(template: str, rows_per_block: int) -> None:
     block = rows_per_block * width * 8
     src = sys.stdin.buffer
     dst = sys.stdout.buffer
-    full = row * rows_per_block
     while True:
         data = src.read(block)
         if not data:
             break
         values = array("d")
         values.frombytes(data)
-        text = full if len(values) == rows_per_block * width else row * (len(values) // width)
-        dst.write((text % tuple(values)).encode())
+        dst.write((row * (len(values) // width) % tuple(values)).encode())
     dst.flush()
 
 
