@@ -426,10 +426,11 @@ class Simulation:
             self._send_block()
 
     def _send_block(self):
-        stdin = self._writer.stdin
-        stdin.write(self._block[: self._block_ticks].data)
-        stdin.flush()
-        self._block_ticks = 0
+        # counted as sent before the write, so that a write cut short by an
+        # interrupt or a dead writer is not sent again from _close_robot_trace
+        rows, self._block_ticks = self._block[: self._block_ticks], 0
+        self._writer.stdin.write(rows.data)
+        self._writer.stdin.flush()
 
     def _close_robot_trace(self):
         """Send the last rows and wait until the writer has finished robots.csv.

@@ -3,7 +3,8 @@
     python trace_writer.py ROW_TEMPLATE ROWS_PER_BLOCK < float64 rows > robots.csv
 
 stdin carries native float64 rows, one value per '%' field of ROW_TEMPLATE
-(for example '%r,%d,%r'), in blocks of up to ROWS_PER_BLOCK rows.  Each row
+(for example '%r,%d,%r'), in blocks of up to ROWS_PER_BLOCK rows; a partial
+row at the end of the stream is dropped.  Each row
 is written as ROW_TEMPLATE % row plus '\\r\\n': '%r' gives a float the text
 `csv.writer` gives it and '%d' an integral value its integer text, so the
 file is byte for byte the one `csv.writer` would write.  Runs until stdin
@@ -21,7 +22,8 @@ from array import array
 def main(template: str, rows_per_block: int) -> None:
     row = template + "\r\n"
     width = template.count("%")
-    block = rows_per_block * width * 8
+    row_bytes = width * 8
+    block = rows_per_block * row_bytes
     src = sys.stdin.buffer
     dst = sys.stdout.buffer
     while True:
@@ -29,7 +31,8 @@ def main(template: str, rows_per_block: int) -> None:
         if not data:
             break
         values = array("d")
-        values.frombytes(data)
+        # whole rows only: a sender cut short mid-write leaves a partial one
+        values.frombytes(data[: len(data) - len(data) % row_bytes])
         dst.write((row * (len(values) // width) % tuple(values)).encode())
     dst.flush()
 

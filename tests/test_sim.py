@@ -1,6 +1,8 @@
 import csv
+import io
 import json
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -165,7 +167,7 @@ def writers(monkeypatch):
 
 
 def _fail_at_tick(monkeypatch, k, action):
-    # integrate_step runs once per tick; its call k runs action instead
+    # integrate_step runs once per tick: action runs at tick k, before its step
     calls = []
     step = sim.integrate_step
 
@@ -195,6 +197,24 @@ def test_fault_mid_trial_keeps_every_traced_row(two_explorers, tmp_path, monkeyp
     assert len(rows) == k * n
     assert float(rows[-1]["t"]) == pytest.approx(k * two_explorers.dt)
     assert [w.returncode for w in writers] == [0]
+
+
+def test_trace_writer_gives_csv_writer_bytes():
+    # edge values, blocks of one row, and a stream that ends inside a row
+    rows = [
+        [0.1, 0, 1e-300, -0.0, float("inf"), 1e22, 2],
+        [1 / 3, 1, float("-inf"), float("nan"), 5e-324, 123456789.0, 4],
+    ]
+    data = np.array(rows).tobytes()
+    out = subprocess.run(
+        [sys.executable, sim.TRACE_WRITER, "%r,%d,%r,%r,%r,%r,%d", "1"],
+        input=data + data[:20],
+        capture_output=True,
+        check=True,
+    ).stdout
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows([[r[0], int(r[1]), *r[2:6], int(r[6])] for r in rows])
+    assert out == expected.getvalue().encode()
 
 
 def test_unwritable_robot_trace_raises(two_explorers, tmp_path, writers):
