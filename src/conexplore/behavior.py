@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netsim
-from .dynamics import saturate
 from .planner import SmoothPath
 
 CONNECTOR = "connector"
@@ -65,15 +64,26 @@ class BehaviorParams:
 # SmoothPath.track_frame returns them.
 
 
-def direction_alignment(x, y) -> float:
-    """(1 + cos angle)/2 between two vectors; 1 if either is zero."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    nx = math.sqrt(x.dot(x))
-    ny = math.sqrt(y.dot(y))
+def row_dots(a, b):
+    """Dot products of the 3-rows of the flat float lists a and b, one per row pair.
+
+    One batched np.vecdot call: numpy takes each row's dot product with the
+    same BLAS ddot that ndarray.dot uses on a pair of 3-vectors, so every
+    value has the bits of that row's own .dot.  A plain left-to-right float
+    sum does not: ddot fuses multiply-adds.
+    """
+    x = np.array(a).reshape(-1, 3)
+    return np.vecdot(x, x if b is a else np.array(b).reshape(-1, 3)).tolist()
+
+
+def direction_alignment(xx: float, yy: float, xy: float) -> float:
+    """(1 + cos angle)/2 between two vectors x and y, from their dot products
+    xx = x.x, yy = y.y and xy = x.y; 1 if either vector is zero."""
+    nx = math.sqrt(xx)
+    ny = math.sqrt(yy)
     if nx == 0.0 or ny == 0.0:
         return 1.0
-    c = x.dot(y) / (nx * ny)
+    c = xy / (nx * ny)
     return 0.5 * (1.0 + max(-1.0, min(1.0, c)))
 
 
@@ -83,48 +93,62 @@ def ramp(x: float, x_c: float, x_M: float) -> float:
         return 1.0
     if x >= x_M:
         return 0.0
-    return 0.5 + 0.5 * np.cos((x - x_c) / (x_M - x_c) * np.pi)
+    return float(0.5 + 0.5 * np.cos((x - x_c) / (x_M - x_c) * np.pi))
 
 
-def traveling_efficiency(q, v, frame, bp: BehaviorParams) -> float:
-    """Tracking quality in [0, 1] from blended position/velocity error."""
+def tracking_errors(q, v, frame):
+    """(v_gamma - v, q_gamma - q): velocity and position error to the path frame."""
     q_gamma, v_gamma, _ = frame
-    dv = v_gamma - v
-    dq = q_gamma - q
-    e = (1.0 - bp.alpha) * math.sqrt(dv.dot(dv)) + bp.alpha * math.sqrt(dq.dot(dq))
+    return [a - b for a, b in zip(v_gamma, v)], [a - b for a, b in zip(q_gamma, q)]
+
+
+def traveling_efficiency(dvdv: float, dqdq: float, bp: BehaviorParams) -> float:
+    """Tracking quality in [0, 1] from the blended norms of the velocity and
+    position errors, given as their squares dv.dv and dq.dq."""
+    e = (1.0 - bp.alpha) * math.sqrt(dvdv) + bp.alpha * math.sqrt(dqdq)
     return ramp(e, bp.x_c, bp.x_M)
 
 
 def adaptive_gain(theta: float, lam_hat: float, sigma: float) -> float:
-    """Blend of force alignment and estimated leader efficiency, in [0, 1]."""
+    """Blend of force alignment and estimated leader efficiency, in [0, 1].
+
+    The powers stay scalar `**` (C pow): numpy's array np.power rounds
+    differently on about one input in twenty.
+    """
     return (1.0 - theta) * lam_hat**sigma + theta * (1.0 - (1.0 - lam_hat) ** sigma)
 
 
-def consensus_step(lam, adj, k: float, dt: float):
+def consensus_step(lam, adj, deg, k: float, dt: float):
     """One Euler step of the disagreement law on every robot's estimate.
 
-    adj is the (N, N) neighbor weight matrix; the result is clamped to [0, 1].
+    adj is the (N, N) neighbor weight matrix and deg its row sums, which the
+    caller keeps while adj stays the same; the result is clamped to [0, 1].
+    adj.dot gives the bits of adj @ lam at half its cost.
     """
-    lam = lam + k * dt * (adj @ lam - adj.sum(axis=1) * lam)
-    np.clip(lam, 0.0, 1.0, out=lam)
-    return lam
+    lam = lam + k * dt * (adj.dot(lam) - deg * lam)
+    np.maximum(0.0, lam, out=lam)
+    return np.minimum(lam, 1.0, out=lam)
 
 
-def travel_force(q, v, frame, bp: BehaviorParams, f_max=np.inf):
-    """PD + feedforward tracking force toward the path frame, norm-saturated."""
-    q_gamma, v_gamma, a_gamma = frame
-    return saturate(a_gamma + bp.k_v * (v_gamma - v) + bp.k_p * (q_gamma - q), f_max)
+def travel_force(dv, dq, a_gamma, bp: BehaviorParams):
+    """PD + feedforward tracking force from the tracking errors, before saturation."""
+    return [a + bp.k_v * x + bp.k_p * y for a, x, y in zip(a_gamma, dv, dq)]
 
 
-def anchor_force(q, z, R_z: float, k_z: float):
-    """Barrier force confining q inside the R_z ball around z."""
-    d = np.asarray(q, dtype=float) - np.asarray(z, dtype=float)
-    ell = math.sqrt(d.dot(d))
+def anchor_force(d, dd: float, R_z: float, k_z: float):
+    """Barrier force confining q inside the R_z ball around z, from d = q - z
+    and dd = d.d.
+
+    The tangent stays np.tan: math.tan rounds differently on about one input
+    in two hundred.
+    """
+    ell = math.sqrt(dd)
     if ell >= R_z:
         raise AnchorViolation(f"distance {ell:.6g} >= R_z {R_z:.6g}")
     if ell == 0.0:
-        return np.zeros(3)
-    return -k_z * np.tan(ell * np.pi / (2.0 * R_z)) * d / ell
+        return [0.0, 0.0, 0.0]
+    s = -k_z * float(np.tan(ell * np.pi / (2.0 * R_z)))
+    return [s * x / ell for x in d]
 
 
 def elect_winner(candidates):

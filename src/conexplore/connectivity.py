@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .world import ObstacleSet, SensingParams, near_pairs, segment_gaps
+from scipy.linalg import lapack
+
+from .world import ObstacleSet, SensingParams, near_pairs, segment_candidates, segment_gaps, segment_rows
 
 _EIGENGAP_TOL = 1e-9
 
@@ -41,38 +43,42 @@ class Spectrum:
     eigengap: float
 
 
+def ramp_down_pair(x, a, b):
+    """ramp_down and its derivative in x, from one clip of x."""
+    x = np.asarray(x, dtype=float)
+    arg = (np.minimum(np.maximum(x, a), b) - a) / (b - a) * np.pi
+    f = 0.5 + 0.5 * np.cos(arg)
+    fd = np.where((x > a) & (x < b), -0.5 * np.pi / (b - a) * np.sin(arg), 0.0)
+    return (f, fd) if f.ndim else (float(f), float(fd))
+
+
 def ramp_down(x, a, b):
     """C1 cosine ramp: 1 on [0, a], down to 0 at b, 0 beyond."""
-    x = np.asarray(x, dtype=float)
-    out = 0.5 + 0.5 * np.cos((np.clip(x, a, b) - a) / (b - a) * np.pi)
-    return out if out.ndim else float(out)
+    return ramp_down_pair(x, a, b)[0]
 
 
-def ramp_down_deriv(x, a, b):
-    x = np.asarray(x, dtype=float)
-    inside = (x > a) & (x < b)
-    out = np.where(
-        inside, -0.5 * np.pi / (b - a) * np.sin((np.clip(x, a, b) - a) / (b - a) * np.pi), 0.0
-    )
-    return out if out.ndim else float(out)
+def ramp_up_pair(x, a, b):
+    """ramp_up, 0 up to a and rising to 1 at b, and its derivative in x."""
+    f, fd = ramp_down_pair(x, a, b)
+    return 1.0 - f, -fd
 
 
 def ramp_up(x, a, b):
     """C1 cosine ramp: 0 up to a, rising to 1 at b, 1 beyond."""
-    r = ramp_down(x, a, b)
-    return 1.0 - r
-
-
-def ramp_up_deriv(x, a, b):
-    return -ramp_down_deriv(x, a, b)
+    return ramp_up_pair(x, a, b)[0]
 
 
 def _leave_one_out(ru):
     """P_i = prod_{k != i} ru[i, k] and loo[i, k] = P_i with factor k removed."""
-    n = ru.shape[0]
     m = ru.copy()
     np.fill_diagonal(m, 1.0)
     zero = m == 0.0
+    if not zero.any():
+        # no vanished factor: the general branch below reduces to this
+        P = m.prod(axis=1)
+        loo = P[:, None] / m
+        np.fill_diagonal(loo, 0.0)
+        return P, loo
     nz = np.where(zero, 1.0, m)
     prod_nz = nz.prod(axis=1)
     zcount = zero.sum(axis=1)
@@ -90,7 +96,8 @@ def _leave_one_out(ru):
 
 
 class WeightFactors:
-    """All weight factors and their distance derivatives for one configuration."""
+    """All weight factors and their distance derivatives for one configuration,
+    with each robot's obstacle clearance."""
 
     def __init__(self, positions, obstacles: ObstacleSet, p: SensingParams):
         q = np.asarray(positions, dtype=float)
@@ -101,48 +108,65 @@ class WeightFactors:
         self.dist = dist
         self.unit = diff / dist[:, :, None]  # unit[i, j] = (q_i - q_j) / d_ij
 
-        self.range_f = ramp_down(dist, p.R_s_inner, p.R_s)
-        self.range_d = ramp_down_deriv(dist, p.R_s_inner, p.R_s)
+        self.range_f, self.range_d = ramp_down_pair(dist, p.R_s_inner, p.R_s)
         np.fill_diagonal(self.range_f, 0.0)
         np.fill_diagonal(self.range_d, 0.0)
 
-        ru = ramp_up(dist, p.R_c, p.R_c_outer)
-        self.coll_d = ramp_up_deriv(dist, p.R_c, p.R_c_outer)
+        ru, self.coll_d = ramp_up_pair(dist, p.R_c, p.R_c_outer)
         np.fill_diagonal(ru, 1.0)
         np.fill_diagonal(self.coll_d, 0.0)
         self.P, self.loo = _leave_one_out(ru)
 
+        self.clear = obstacles.clearances(q)
         self.obst_f = np.ones((n, n))
         self.obst_d = np.zeros((n, n))
         self.obst_g = np.zeros((n, n, 3))  # grad of d_ijo wrt q_i (first index)
         if not obstacles.empty:
-            pts = obstacles.points
-            rp2 = ((q[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-            within = rp2 <= p.R_m**2  # robot-local obstacle views
-            clear = np.sqrt(rp2.min(axis=1))
-            keep = within.any(axis=0)
-            pts = pts[keep]
-            within = within[:, keep]
             ii, jj = np.nonzero(np.triu(self.range_f, 1) > 0.0)
             # pruned pairs keep a unit factor
-            ii, jj = near_pairs(ii, jj, clear, dist, p.R_o_outer)
-            if len(ii) and len(pts):
-                t, gap, d = segment_gaps(q[ii], q[jj], pts)
-                d = np.where(within[ii] | within[jj], d, np.inf)
-                k = d.argmin(axis=1)
-                rows = np.arange(len(ii))
-                dmin = d[rows, k]
-                have = np.isfinite(dmin)
-                f = np.where(have, ramp_up(dmin, p.R_o, p.R_o_outer), 1.0)
-                fd = np.where(have, ramp_up_deriv(dmin, p.R_o, p.R_o_outer), 0.0)
-                tk = t[rows, k]
-                safe = np.where(have & (dmin > 0.0), dmin, 1.0)
-                u_hat = gap[rows, k] / safe[:, None]
-                u_hat[~(have & (dmin > 0.0))] = 0.0
-                self.obst_f[ii, jj] = self.obst_f[jj, ii] = f
-                self.obst_d[ii, jj] = self.obst_d[jj, ii] = fd
-                self.obst_g[ii, jj] = (1.0 - tk)[:, None] * u_hat
-                self.obst_g[jj, ii] = tk[:, None] * u_hat
+            ii, jj = near_pairs(ii, jj, self.clear, dist, p.R_o_outer)
+            if len(ii):
+                self._obstacle_factors(q, ii, jj, obstacles, p)
+
+    def _obstacle_factors(self, q, ii, jj, obstacles: ObstacleSet, p: SensingParams):
+        """Obstacle factor of each pair from its nearest visible point.
+
+        Only a point within R_o_outer of a segment can move its factor off 1,
+        so each pair looks at the KD-tree candidates of its segment (the 1e-9
+        margin keeps a point whose rounded distance lands on R_o_outer), and
+        of those at the ones within R_m of either end: the robot-local
+        obstacle views.  Candidates come in point order, so the first row at
+        a pair's minimum is the point that argmin over all points picks.
+        """
+        qa, qb = q[ii], q[jj]
+        seg, pt, count = segment_candidates(obstacles, qa, qb, self.dist[ii, jj], p.R_o_outer + 1e-9)
+        a, u, uu, pts = segment_rows(qa, qb, obstacles.points, seg, pt)
+        r2 = p.R_m**2
+        wa = pts - a
+        wb = pts - np.take(qb, seg, axis=0).T
+        within = (wa[0] * wa[0] + wa[1] * wa[1] + wa[2] * wa[2] <= r2) | (
+            wb[0] * wb[0] + wb[1] * wb[1] + wb[2] * wb[2] <= r2
+        )
+        t, gap, d = segment_gaps(a, u, uu, pts)
+        d = np.where(within, d, np.inf)
+        seen = count > 0
+        start = (np.cumsum(count) - count)[seen]
+        dmin = np.minimum.reduceat(d, start)
+        hit = np.flatnonzero(d == np.repeat(dmin, count[seen]))
+        k = hit[np.searchsorted(hit, start)]
+        ii, jj = ii[seen], jj[seen]
+        have = dmin < np.inf
+        f, fd = ramp_up_pair(dmin, p.R_o, p.R_o_outer)
+        f = np.where(have, f, 1.0)
+        fd = np.where(have, fd, 0.0)
+        tk = t[k]
+        away = have & (dmin > 0.0)
+        u_hat = (gap[:, k] / np.where(away, dmin, 1.0)).T
+        u_hat[~away] = 0.0
+        self.obst_f[ii, jj] = self.obst_f[jj, ii] = f
+        self.obst_d[ii, jj] = self.obst_d[jj, ii] = fd
+        self.obst_g[ii, jj] = (1.0 - tk)[:, None] * u_hat
+        self.obst_g[jj, ii] = tk[:, None] * u_hat
 
     def weight_matrix(self) -> np.ndarray:
         W = self.range_f * self.obst_f * np.outer(self.P, self.P)
@@ -156,8 +180,14 @@ def laplacian(W: np.ndarray) -> np.ndarray:
 
 
 def fiedler(L: np.ndarray) -> Spectrum:
-    """Second-smallest eigenvalue and unit eigenvector of a graph Laplacian."""
-    evals, evecs = np.linalg.eigh(L)
+    """Second-smallest eigenvalue and unit eigenvector of a graph Laplacian.
+
+    LAPACK dsyevd on the lower triangle is the routine np.linalg.eigh calls,
+    called without its wrapper: the same eigenpairs, bit for bit.
+    """
+    evals, evecs, info = lapack.dsyevd(L, compute_v=1, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevd failed (info {info})")
     n = L.shape[0]
     lam2 = float(evals[1])
     nu2 = evecs[:, 1].copy()
@@ -225,6 +255,7 @@ class FieldState:
     dV: float
     forces: np.ndarray
     degenerate: bool
+    clearances: np.ndarray  # each robot's obstacle clearance
 
 
 def evaluate_field(
@@ -250,6 +281,7 @@ def evaluate_field(
             dV=0.0,
             forces=np.zeros((n, 3)),
             degenerate=False,
+            clearances=obstacles.clearances(q),
         )
     factors = WeightFactors(q, obstacles, sensing)
     W = factors.weight_matrix()
@@ -271,4 +303,5 @@ def evaluate_field(
         dV=dV,
         forces=forces,
         degenerate=degenerate,
+        clearances=factors.clear,
     )

@@ -24,11 +24,10 @@ class BodyParams:
             raise ValueError("mass, damping, f_max must be positive")
 
 
-def saturate(f, f_max: float):
-    """Norm-saturate a force vector."""
-    f = np.asarray(f, dtype=float)
-    n = math.sqrt(f.dot(f))
-    return f if n <= f_max else f * (f_max / n)
+def saturate(f, ff: float, f_max: float):
+    """Norm-saturate the force f, a 3-list, given ff = f.f."""
+    n = math.sqrt(ff)
+    return f if n <= f_max else [x * (f_max / n) for x in f]
 
 
 def integrate_step(q, v, f, bp: BodyParams, dt: float):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import bisect
+import functools
 import heapq
 import itertools
 import math
@@ -218,8 +220,9 @@ class SmoothPath:
     def track_frame(self, q, s_hint: float, window: float, v_cruise: float, taper_len: float):
         """Fused high-rate query: closest point within window of s_hint plus
         virtual-point kinematics at that point.  Returns (q_gamma, s, v_gamma, a_gamma)."""
-        lo = max(0, int(self._s.searchsorted(s_hint - window)) - 1)
-        hi = min(len(self._s) - 1, int(self._s.searchsorted(s_hint + window)) + 1)
+        s_rows = self._table[0]
+        lo = max(0, bisect.bisect_left(s_rows, s_hint - window) - 1)
+        hi = min(len(s_rows) - 1, bisect.bisect_left(s_rows, s_hint + window) + 1)
         p, s = self._nearest(q, lo, hi)
         v, a = path_kinematics(self, s, v_cruise, taper_len)
         return p, s, v, a
@@ -229,21 +232,29 @@ class SmoothPath:
             raise ValueError(f"arc length {s} outside [0, {self.total_length}]")
         return max(0.0, self.total_length - s)
 
+    @functools.cached_property
+    def _table(self):
+        """The s, tangent and curvature columns as Python lists, for the
+        per-tick scalar queries."""
+        return self._s.tolist(), self._tan.tolist(), self._curv.tolist()
+
     def _locate(self, s: float):
         """Table row i and weight w with s in [0, total_length] between rows i - 1 and i."""
-        i = int(self._s.searchsorted(s))
-        i = min(max(i, 1), len(self._s) - 1)
-        s0 = self._s[i - 1]
-        s1 = self._s[i]
+        s_rows = self._table[0]
+        i = min(max(bisect.bisect_left(s_rows, s), 1), len(s_rows) - 1)
+        s0 = s_rows[i - 1]
+        s1 = s_rows[i]
         return i, 0.0 if s1 == s0 else (s - s0) / (s1 - s0)
 
     def _tangent_curvature(self, i: int, w: float):
-        """(unit tangent, curvature vector) at weight w between rows i - 1 and i."""
-        t = (1.0 - w) * self._tan[i - 1] + w * self._tan[i]
-        nt = np.sqrt((t * t).sum())
+        """(unit tangent, curvature vector) at weight w between rows i - 1 and i,
+        as 3-lists; the norm sums x, y, z from the left, as numpy sums a row."""
+        _, tan, curv = self._table
+        t = [(1.0 - w) * a + w * b for a, b in zip(tan[i - 1], tan[i])]
+        nt = math.sqrt(t[0] * t[0] + t[1] * t[1] + t[2] * t[2])
         if nt > 0:
-            t = t / nt
-        return t, (1.0 - w) * self._curv[i - 1] + w * self._curv[i]
+            t = [x / nt for x in t]
+        return t, [(1.0 - w) * a + w * b for a, b in zip(curv[i - 1], curv[i])]
 
 
 def taper_factor(remaining: float, taper_len: float):
@@ -262,7 +273,7 @@ def taper_factor(remaining: float, taper_len: float):
 
 
 def path_kinematics(path: SmoothPath, s: float, v_cruise: float, taper_len: float = 0.0):
-    """Velocity and acceleration of a virtual point at arc length s.
+    """Velocity and acceleration of a virtual point at arc length s, as 3-lists.
 
     Tangential speed is v_cruise, tapered to zero over the final taper_len of
     arc length; acceleration combines the centripetal term with the taper's
@@ -271,12 +282,12 @@ def path_kinematics(path: SmoothPath, s: float, v_cruise: float, taper_len: floa
     if v_cruise <= 0:
         raise ValueError("v_cruise must be positive")
     if path.degenerate:
-        return np.zeros(3), np.zeros(3)
+        return [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
     s = min(max(s, 0.0), path.total_length)
     tan, curv = path._tangent_curvature(*path._locate(s))
     remaining = path.total_length - s
     f, dfds = taper_factor(remaining, taper_len)
     speed = v_cruise * f
-    v = speed * tan
-    a = speed * speed * curv + (v_cruise * dfds) * speed * tan
-    return v, a
+    centripetal = speed * speed
+    tangential = v_cruise * dfds * speed
+    return [speed * t for t in tan], [centripetal * c + tangential * t for c, t in zip(curv, tan)]

@@ -9,6 +9,7 @@ motion: its 3(N-1)+1 message rounds are all delivered at t = 0.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -31,11 +32,13 @@ from .behavior import (
     anchor_force,
     consensus_step,
     direction_alignment,
+    row_dots,
+    tracking_errors,
     travel_force,
     traveling_efficiency,
 )
 from .connectivity import ConnectivityParams, ConnectivityViolation, evaluate_field
-from .dynamics import BodyParams, ReferenceFilter, SimulationFault, integrate_step
+from .dynamics import BodyParams, ReferenceFilter, SimulationFault, integrate_step, saturate
 from .planner import NoPath, OccupiedEndpoint, SmoothPath, astar
 from .world import ObstacleSet, OccupancyGrid, SensingParams, adjacency
 
@@ -67,6 +70,72 @@ class RunResult:
     min_obstacle_clearance: float
     monitors: Monitors
     events: list = field(default_factory=list)
+
+
+class PairwiseMinimum:
+    """Running minimum over the ticks of the smallest inter-robot distance.
+
+    It equals, bit for bit, the minimum of an all-pairs check at every tick,
+    for the cost of one check every few dozen ticks.  From an all-pairs
+    check (the reference: distances D_ij), robot i has moved at most its
+    traveled distance since, delta_i, so d_ij >= D_ij - delta_i - delta_j
+    (a Verlet skin).  A pair whose bound, less a rounding margin, is not
+    below the running minimum cannot lower it and is skipped; every other
+    pair is recomputed exactly, with the sum of squares an all-pairs check
+    takes.  The margin covers, per tick, the rounding of one position update
+    and one traveled sum (far below 1e-12 m for positions within km of the
+    origin), and once the rounding of the distances and of delta.
+    """
+
+    SKIN = 0.1  # m of delta_i + delta_j after which a failed bound renews the reference
+    MARGIN = 1e-9  # m
+    TICK_MARGIN = 1e-12  # m per tick since the reference
+
+    def __init__(self, n: int):
+        self.value = math.inf
+        self._iu = np.triu_indices(n, 1)
+        self._ref = None  # (D_ij, i, j) ascending in D_ij
+        self._ref_traveled = None
+        self._skin = 0.0  # bound on every delta_i + the per-tick margins
+        self._ticks = 0  # ticks since the reference
+
+    def update(self, q, traveled, step):
+        """Take the positions q after a tick whose step lengths were step,
+        with traveled the running sum of them."""
+        if not len(self._iu[0]):
+            return
+        self._ticks += 1
+        self._skin += float(step.max()) + self.TICK_MARGIN
+        ref = self._ref
+        if ref is not None and ref[0][0] - 2.0 * self._skin - self.MARGIN >= self.value:
+            return  # no pair can come below the minimum
+        if ref is None or 2.0 * self._skin > self.SKIN:
+            self._renew(q, traveled)
+            return
+        delta = (traveled - self._ref_traveled).tolist()
+        pad = 2.0 * self._ticks * self.TICK_MARGIN + self.MARGIN
+        rows = None
+        for d_ref, i, j in ref:
+            if d_ref - 2.0 * self._skin - self.MARGIN >= self.value:
+                break  # nor can any later pair, which starts farther apart
+            if d_ref - delta[i] - delta[j] - pad < self.value:
+                if rows is None:
+                    rows = q.tolist()
+                a, b = rows[i], rows[j]
+                x, y, z = a[0] - b[0], a[1] - b[1], a[2] - b[2]
+                self.value = min(self.value, math.sqrt(x * x + y * y + z * z))
+
+    def _renew(self, q, traveled):
+        """All-pairs check at q, which becomes the reference."""
+        i, j = self._iu
+        diff = q[i] - q[j]
+        d2 = (diff * diff).sum(axis=1)
+        order = d2.argsort(kind="stable")
+        self.value = min(self.value, float(np.sqrt(d2[order[0]])))
+        self._ref = list(zip(np.sqrt(d2[order]).tolist(), i[order].tolist(), j[order].tolist()))
+        self._ref_traveled = traveled.copy()
+        self._skin = 0.0
+        self._ticks = 0
 
 
 class Simulation:
@@ -154,7 +223,7 @@ class Simulation:
         feed the monitors.
         """
         adj = adjacency(self.q, self.obstacles, self.sensing)
-        self._adj_f = adj.astype(float)
+        self._set_consensus_graph(adj.astype(float))
         self.mon.targets_planned = sum(len(a.queue) for a in self.agents)
         for i, ag in enumerate(self.agents):
             ag.startup_plan(self._ctx(i, []))
@@ -178,7 +247,7 @@ class Simulation:
         lam2_sum = 0.0
         lam2_n = 0
         min_lam2 = np.inf
-        min_rr = np.inf
+        pairwise = PairwiseMinimum(n)
         min_clear = np.inf
         max_stretch = 0.0
         fault = None
@@ -196,13 +265,12 @@ class Simulation:
             field_state = evaluate_field(self.q, self.obstacles, self.sensing, self.conn)
             lam2_sum, lam2_n = field_state.lambda2, 1
             min_lam2 = field_state.lambda2
-            min_rr = self._min_pairwise()
-            min_clear = self._min_clearance()
+            pairwise.value = self._min_pairwise()
+            min_clear = float(field_state.clearances.min())
             max_stretch = self._stretch(explorer)
 
         tick = 0
         max_ticks = int(round(self.timeout / dt))
-        rr = self._min_pairwise()  # at the current q, for the connectivity trace
         writer = self._open_robot_trace() if self.trace_dir else None
         try:
             while not completed and tick < max_ticks:
@@ -214,11 +282,12 @@ class Simulation:
                     f_lambda = field_state.forces
                     # consensus couples robots with nonzero edge weight; the
                     # full neighbor test runs only at message rounds
-                    self._adj_f = (field_state.W > 0.0).astype(float)
+                    self._set_consensus_graph((field_state.W > 0.0).astype(float))
                     lam2_sum += field_state.lambda2
                     lam2_n += 1
                     min_lam2 = min(min_lam2, field_state.lambda2)
-                    clear = self._min_clearance()
+                    # the field's clearances are the robots' own, at this q
+                    clear = float(field_state.clearances.min())
                     min_clear = min(min_clear, clear)
                     max_stretch = max(max_stretch, self._stretch(explorer))
                     if field_state.degenerate:
@@ -229,7 +298,7 @@ class Simulation:
                                 self.t,
                                 field_state.lambda2,
                                 int((field_state.W > 0).sum() // 2),
-                                rr,
+                                self._min_pairwise(),
                                 clear,
                             )
                         )
@@ -245,9 +314,9 @@ class Simulation:
                 f_total = self._control_forces(f_lambda, tick) + f_lambda
                 self.q, self.v = integrate_step(self.q, self.v, f_total, body, dt)
                 dq = dt * self.v  # the position step just taken
-                traveled += np.sqrt((dq * dq).sum(axis=1))
-                rr = self._min_pairwise()
-                min_rr = min(min_rr, rr)
+                step = np.sqrt((dq * dq).sum(axis=1))
+                traveled += step
+                pairwise.update(self.q, traveled, step)
                 for ag in self.agents:
                     if ag.role == ANCHOR:
                         ag.dwell_elapsed += dt
@@ -274,7 +343,7 @@ class Simulation:
             max_stretch=float(max_stretch),
             mean_lambda2=float(lam2_sum / max(1, lam2_n)),
             min_lambda2=float(min_lam2),
-            min_interrobot_dist=float(min_rr),
+            min_interrobot_dist=float(pairwise.value),
             min_obstacle_clearance=float(min_clear),
             monitors=self.mon,
             events=self.events,
@@ -316,19 +385,38 @@ class Simulation:
         else:
             self._primeless_streak = 0
 
+    def _set_consensus_graph(self, adj_f):
+        self._adj_f = adj_f
+        self._adj_deg = adj_f.sum(axis=1)
+
     def _control_forces(self, f_lambda, tick=0):
         """Per-robot control forces for one tick; advances the consensus on
-        the prime's traveling efficiency and pins the prime's own estimate."""
+        the prime's traveling efficiency and pins the prime's own estimate.
+
+        The laws run on Python floats.  Their dot products come in two
+        batches, each one row_dots call: first |f|^2 of every raw travel
+        force, the tracking errors of the prime and q - z of every anchored
+        robot; then the alignment dots of each secondary's travel force with
+        its connectivity force.
+        """
         bp = self.bp
-        f = np.zeros((self.n, 3))
-        lam = consensus_step(self.lam_hat, self._adj_f, bp.k_consensus, self.dt)
+        lam = consensus_step(self.lam_hat, self._adj_f, self._adj_deg, bp.k_consensus, self.dt).tolist()
+        q_rows = self.q.tolist()
+        v_rows = self.v.tolist()
+        # (i, law, vector, velocity error, position error) in robot order: the
+        # anchor law on q - z, or the travel law of a prime or a secondary on
+        # its raw travel force
+        jobs = []
+        rows = []  # flat 3-rows whose squared norms the laws take, in job order
         for i, ag in enumerate(self.agents):
             role = ag.role
             if role == CONNECTOR:
                 continue
-            q = self.q[i]
+            q = q_rows[i]
             if role == ANCHOR or (role == PRIME and ag.path is None and ag.z is not None):
-                f[i] = anchor_force(q, ag.z, bp.R_z, bp.k_z)
+                d = [a - b for a, b in zip(q, ag.z.tolist())]
+                jobs.append((i, ANCHOR, d, None, None))
+                rows += d
                 if role == PRIME:
                     lam[i] = 1.0  # hosting at the target: report full efficiency
                 continue
@@ -339,32 +427,49 @@ class Simulation:
             # the control laws still use the current q and v every tick
             cache = self._frame_cache.get(i)
             if cache is None or cache[0] is not path or tick % 4 == 0:
-                p, ag.s_track, v_g, a_g = path.track_frame(q, ag.s_track, 0.25, bp.v_cruise, bp.R_z)
-                cache = self._frame_cache[i] = (path, (p, v_g, a_g))
+                p, ag.s_track, v_g, a_g = path.track_frame(self.q[i], ag.s_track, 0.25, bp.v_cruise, bp.R_z)
+                cache = self._frame_cache[i] = (path, (p.tolist(), v_g, a_g))
             frame = cache[1]
-            v = self.v[i]
-            ft = travel_force(q, v, frame, bp, self.body.f_max)
+            dv, dq = tracking_errors(q, v_rows[i], frame)
+            f = travel_force(dv, dq, frame[2], bp)
+            jobs.append((i, role, f, dv, dq))
+            rows += f
             if role == PRIME:
-                lam[i] = traveling_efficiency(q, v, frame, bp)
-                f[i] = ft
+                rows += dv + dq
+        norms = iter(row_dots(rows, rows) if rows else ())
+        forces = [0.0] * (3 * self.n)
+        secondaries = []  # (i, saturated travel force)
+        xs, ys = [], []  # alignment rows: f_lambda, ft, f_lambda against f_lambda, ft, ft
+        for i, law, f, dv, dq in jobs:
+            if law == ANCHOR:
+                forces[3 * i : 3 * i + 3] = anchor_force(f, next(norms), bp.R_z, bp.k_z)
+                continue
+            ft = saturate(f, next(norms), self.body.f_max)
+            if law == PRIME:
+                lam[i] = traveling_efficiency(next(norms), next(norms), bp)
+                forces[3 * i : 3 * i + 3] = ft
             else:
-                theta = direction_alignment(f_lambda[i], ft)
-                f[i] = adaptive_gain(theta, lam[i], bp.sigma) * ft
-        self.lam_hat = lam
-        return f
+                secondaries.append((i, ft))
+                x = f_lambda[i].tolist()
+                xs += x + ft + x
+                ys += x + ft + ft
+        if secondaries:
+            dots = row_dots(xs, ys)
+            for k, (i, ft) in enumerate(secondaries):
+                theta = direction_alignment(*dots[3 * k : 3 * k + 3])
+                gain = adaptive_gain(theta, lam[i], bp.sigma)
+                forces[3 * i : 3 * i + 3] = [gain * c for c in ft]
+        self.lam_hat = np.array(lam)
+        return np.array(forces).reshape(self.n, 3)
 
     # -- monitors ----------------------------------------------------------------
 
     def _min_pairwise(self) -> float:
+        """Smallest inter-robot distance at the current q, over every pair."""
         if self.n < 2:
             return np.inf
         diff = self.q[self._iu[0]] - self.q[self._iu[1]]
         return float(np.sqrt((diff * diff).sum(axis=1).min()))
-
-    def _min_clearance(self) -> float:
-        if self.obstacles.empty:
-            return np.inf
-        return float(self.obstacles.clearances(self.q).min())
 
     def _stretch(self, explorer_mask) -> float:
         qs = self.q[explorer_mask]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,19 +103,48 @@ class ObstacleSet:
         return np.asarray(d, dtype=float)
 
 
-def segment_gaps(qa, qb, points):
-    """Closest approach of each segment qa[p]-qb[p] to each obstacle point.
+def segment_gaps(a, u, uu, p):
+    """Closest approach of a segment to an obstacle point, row by row.
 
-    For P segments and M points returns (t, gap, d): the clamped segment
-    parameter (P, M), the vector from the point to its closest segment point
-    (P, M, 3) and that vector's length (P, M).
+    Component form: a, u and p are (3, C) arrays whose column c holds the
+    segment start a, its direction u (the segment runs from a to a + u) and
+    one point p; uu (C,) holds max(u . u, 1e-300).  Returns (t, gap, d): the
+    clamped segment parameter (C,), the vector from the point to its closest
+    segment point (3, C) and that vector's length (C,).  Each dot product is
+    summed x, y, z from the left, as numpy sums a length-3 row.
     """
+    w = p - a
+    # maximum(0, t) keeps t on a tie, so -0.0 stays -0.0 as under np.clip
+    t = np.minimum(np.maximum(0.0, (w[0] * u[0] + w[1] * u[1] + w[2] * u[2]) / uu), 1.0)
+    gap = t * u - w
+    return t, gap, np.sqrt(gap[0] * gap[0] + gap[1] * gap[1] + gap[2] * gap[2])
+
+
+def segment_candidates(obstacles: ObstacleSet, qa, qb, length, radius):
+    """Every obstacle point that may lie within radius of a segment qa[s]-qb[s].
+
+    A point that close to segment s lies within length[s]/2 + radius of its
+    midpoint, so the KD-tree ball there holds all of them.  Returns (seg, pt,
+    count): the segment and the point index of each candidate row, with the
+    point indices ascending within a segment, and the rows per segment.
+    """
+    balls = obstacles._tree.query_ball_point(0.5 * (qa + qb), 0.5 * length + radius, return_sorted=True)
+    count = np.fromiter(map(len, balls), np.intp, len(balls))
+    pt = np.fromiter(itertools.chain.from_iterable(balls), np.intp, int(count.sum()))
+    return np.repeat(np.arange(len(balls)), count), pt, count
+
+
+def segment_rows(qa, qb, points, seg, pt):
+    """The arguments (a, u, uu, p) of segment_gaps for the candidate rows (seg, pt)
+    of the segments qa[s]-qb[s]."""
     u = qb - qa
-    uu = np.maximum((u * u).sum(axis=1), 1e-300)
-    w = points[None, :, :] - qa[:, None, :]
-    t = np.clip((w * u[:, None, :]).sum(axis=2) / uu[:, None], 0.0, 1.0)
-    gap = t[:, :, None] * u[:, None, :] - w
-    return t, gap, np.sqrt((gap * gap).sum(axis=2))
+    uu = np.maximum(u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1] + u[:, 2] * u[:, 2], 1e-300)
+    return (
+        np.take(qa, seg, axis=0).T,
+        np.take(u, seg, axis=0).T,
+        np.take(uu, seg),
+        np.take(points, pt, axis=0).T,
+    )
 
 
 def near_pairs(ii, jj, clear, dist, radius):
@@ -139,8 +169,10 @@ def adjacency(positions, obstacles: ObstacleSet, p: SensingParams) -> np.ndarray
         # the 1e-9 margin keeps a pair whose bound rounds onto R_o
         ii, jj = near_pairs(ii, jj, obstacles.clearances(q), dist, p.R_o + 1e-9)
         if len(ii):
-            dmin = segment_gaps(q[ii], q[jj], obstacles.points)[2].min(axis=1)
-            blocked = dmin < p.R_o
+            qa, qb = q[ii], q[jj]
+            seg, pt, _ = segment_candidates(obstacles, qa, qb, dist[ii, jj], p.R_o + 1e-9)
+            d = segment_gaps(*segment_rows(qa, qb, obstacles.points, seg, pt))[2]
+            blocked = seg[d < p.R_o]
             adj[ii[blocked], jj[blocked]] = False
             adj[jj[blocked], ii[blocked]] = False
     return adj

@@ -1,17 +1,24 @@
 """Reference computations that the tests check the program against.
 
 The spline a `SmoothPath` table samples, queried by a bounded scalar search
-instead of the table; the clearance of one segment through the
-segment-obstacle kernel; the length of a grid path, summed step by step.
+instead of the table; the segment-obstacle kernel over every (segment,
+point) pair in (P, M, 3) arrays, and the clearance of one segment through
+it; the length of a grid path, summed step by step; the control laws and
+the path kinematics on numpy vectors, as the simulator ran them before its
+float port.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 
-from conexplore.world import INF, segment_gaps
+from conexplore.behavior import AnchorViolation, ramp
+from conexplore.planner import taper_factor
+from conexplore.world import INF
 
 
 def grid_path_cost(gp) -> float:
@@ -21,12 +28,95 @@ def grid_path_cost(gp) -> float:
     return float(np.linalg.norm(np.diff(gp.waypoints, axis=0), axis=1).sum())
 
 
+def segment_gaps(qa, qb, points):
+    """Closest approach of each segment qa[p]-qb[p] to each obstacle point.
+
+    For P segments and M points returns (t, gap, d): the clamped segment
+    parameter (P, M), the vector from the point to its closest segment point
+    (P, M, 3) and that vector's length (P, M).
+    """
+    u = qb - qa
+    uu = np.maximum((u * u).sum(axis=1), 1e-300)
+    w = points[None, :, :] - qa[:, None, :]
+    t = np.clip((w * u[:, None, :]).sum(axis=2) / uu[:, None], 0.0, 1.0)
+    gap = t[:, :, None] * u[:, None, :] - w
+    return t, gap, np.sqrt((gap * gap).sum(axis=2))
+
+
 def line_of_sight_clearance(qi, qj, obstacles) -> float:
     """Min distance from the segment qi-qj to any obstacle point (+inf if none)."""
     if obstacles.empty:
         return INF
     qa, qb = np.asarray([qi, qj], dtype=float)[:, None, :]
     return float(segment_gaps(qa, qb, obstacles.points)[2].min())
+
+
+# -- the control laws on numpy vectors ------------------------------------------
+
+
+def saturate(f, f_max: float):
+    """Norm-saturate a force vector."""
+    f = np.asarray(f, dtype=float)
+    n = math.sqrt(f.dot(f))
+    return f if n <= f_max else f * (f_max / n)
+
+
+def travel_force(q, v, frame, bp, f_max=np.inf):
+    """PD + feedforward tracking force toward the path frame, norm-saturated."""
+    q_gamma, v_gamma, a_gamma = (np.asarray(x, dtype=float) for x in frame)
+    return saturate(a_gamma + bp.k_v * (v_gamma - v) + bp.k_p * (q_gamma - q), f_max)
+
+
+def traveling_efficiency(q, v, frame, bp) -> float:
+    """Tracking quality in [0, 1] from blended position/velocity error."""
+    q_gamma, v_gamma, _ = (np.asarray(x, dtype=float) for x in frame)
+    dv = v_gamma - v
+    dq = q_gamma - q
+    e = (1.0 - bp.alpha) * math.sqrt(dv.dot(dv)) + bp.alpha * math.sqrt(dq.dot(dq))
+    return ramp(e, bp.x_c, bp.x_M)
+
+
+def direction_alignment(x, y) -> float:
+    """(1 + cos angle)/2 between two vectors; 1 if either is zero."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    nx = math.sqrt(x.dot(x))
+    ny = math.sqrt(y.dot(y))
+    if nx == 0.0 or ny == 0.0:
+        return 1.0
+    c = x.dot(y) / (nx * ny)
+    return 0.5 * (1.0 + max(-1.0, min(1.0, c)))
+
+
+def anchor_force(q, z, R_z: float, k_z: float):
+    """Barrier force confining q inside the R_z ball around z."""
+    d = np.asarray(q, dtype=float) - np.asarray(z, dtype=float)
+    ell = math.sqrt(d.dot(d))
+    if ell >= R_z:
+        raise AnchorViolation(f"distance {ell:.6g} >= R_z {R_z:.6g}")
+    if ell == 0.0:
+        return np.zeros(3)
+    return -k_z * np.tan(ell * np.pi / (2.0 * R_z)) * d / ell
+
+
+def path_kinematics(path, s: float, v_cruise: float, taper_len: float = 0.0):
+    """Velocity and acceleration of a virtual point at arc length s, from the
+    path's table arrays."""
+    if path.degenerate:
+        return np.zeros(3), np.zeros(3)
+    s = min(max(s, 0.0), path.total_length)
+    i = int(path._s.searchsorted(s))
+    i = min(max(i, 1), len(path._s) - 1)
+    s0, s1 = path._s[i - 1], path._s[i]
+    w = 0.0 if s1 == s0 else (s - s0) / (s1 - s0)
+    tan = (1.0 - w) * path._tan[i - 1] + w * path._tan[i]
+    nt = np.sqrt((tan * tan).sum())
+    if nt > 0:
+        tan = tan / nt
+    curv = (1.0 - w) * path._curv[i - 1] + w * path._curv[i]
+    f, dfds = taper_factor(path.total_length - s, taper_len)
+    speed = v_cruise * f
+    return speed * tan, speed * speed * curv + (v_cruise * dfds) * speed * tan
 
 
 class SplineQuery:

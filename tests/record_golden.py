@@ -1,6 +1,7 @@
 """Write tests/golden_suite.json, the bitwise record of the acceptance suite.
 
     PYTHONPATH=src python tests/record_golden.py
+    PYTHONPATH=src python tests/record_golden.py --check [KEY ...]
 
 Runs the 60 `SUITE` trials of test_acceptance.py and records, per trial, the
 TrialMetrics values (floats as float.hex), the Monitors fields, a sha1 of the
@@ -10,10 +11,15 @@ Python, numpy, scipy and BLAS versions the record was taken with.  Prints the
 trials whose record changed against the file it replaces, with the fields
 that changed.  This script is the only writer of the file; test_acceptance.py
 compares the suite against it.
+
+`--check` writes nothing: it re-runs the named trials (keys as in the file,
+such as `walled_15x20/4/2`; all 60 by default), prints each field that
+differs from the record, and exits 1 if any does.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -78,20 +84,48 @@ def environment() -> dict:
     }
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="Record or check the golden suite record.")
+    ap.add_argument(
+        "--check",
+        nargs="*",
+        metavar="KEY",
+        help="compare these trials (default: all) with the record; write nothing",
+    )
+    args = ap.parse_args(argv)
     os.chdir(ROOT)
     sys.path.insert(0, str(ROOT / "src"))
     from conexplore import harness
     from test_acceptance import SUITE
 
-    trials = {}
-    for path, connector_counts, seeds in SUITE:
-        for ncon in connector_counts:
-            for seed in seeds:
-                sc = harness.load_scenario(path, seed=seed, connectors=ncon)
-                metrics, result = harness.run_trial(sc)
-                trials[trial_key(sc.name, ncon, seed)] = trial_record(sc.robots, metrics, result)
+    suite = [
+        (trial_key(Path(path).stem, ncon, seed), path, ncon, seed)
+        for path, connector_counts, seeds in SUITE
+        for ncon in connector_counts
+        for seed in seeds
+    ]
     old = json.loads(GOLDEN_PATH.read_text())["trials"] if GOLDEN_PATH.exists() else None
+    if args.check is not None:
+        if old is None:
+            ap.error(f"{GOLDEN_PATH.name} does not exist")
+        unknown = sorted(set(args.check) - {k for k, *_ in suite})
+        if unknown:
+            ap.error(f"no such trial: {', '.join(unknown)}")
+        suite = [t for t in suite if not args.check or t[0] in args.check]
+
+    trials = {}
+    for _, path, ncon, seed in suite:
+        sc = harness.load_scenario(path, seed=seed, connectors=ncon)
+        metrics, result = harness.run_trial(sc)
+        key = trial_key(sc.name, ncon, seed)
+        trials[key] = trial_record(sc.robots, metrics, result)
+        if args.check is not None:
+            changed = changed_fields({key: old[key]}, {key: trials[key]})
+            print(f"{'changed' if changed else 'same'}: {key}" + (f": {', '.join(changed[key])}" if changed else ""))
+    if args.check is not None:
+        changed = changed_fields({k: old[k] for k in trials}, trials)
+        print(f"{len(trials)} trials checked, {len(changed)} changed")
+        return 1 if changed else 0
     with open(GOLDEN_PATH, "w") as fh:
         json.dump({"environment": environment(), "trials": trials}, fh, indent=1)
         fh.write("\n")

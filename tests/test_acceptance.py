@@ -222,7 +222,7 @@ def test_07_consensus_convergence():
         adj_f = adj.astype(float)
         vals = np.array([value if i == prime else 0.0 for i in range(n)])
         for _ in range(int(round(horizon / dt))):
-            vals = consensus_step(vals, adj_f, k, dt)
+            vals = consensus_step(vals, adj_f, adj_f.sum(axis=1), k, dt)
             vals[prime] = value
         return max(abs(v - value) for v in vals)
 

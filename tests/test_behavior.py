@@ -17,9 +17,12 @@ from conexplore.behavior import (
     direction_alignment,
     elect_winner,
     ramp,
+    row_dots,
+    tracking_errors,
     travel_force,
     traveling_efficiency,
 )
+from conexplore.dynamics import saturate
 from conexplore.planner import SmoothPath, path_kinematics
 from oracles import SplineQuery
 from static_team import StaticTeam, run_election
@@ -33,6 +36,34 @@ def frame(path, q, bp=BP, s=None):
         _, s = path.closest_point(q)
     v_gamma, a_gamma = path_kinematics(path, s, bp.v_cruise, bp.R_z)
     return SplineQuery(path).point_at(s), v_gamma, a_gamma
+
+
+# The laws take their dot products as arguments; these helpers take them with
+# row_dots, as Simulation does, and apply the law to plain vectors.
+
+
+def alignment(x, y):
+    """direction_alignment between the vectors x and y."""
+    x, y = [float(c) for c in x], [float(c) for c in y]
+    return direction_alignment(*row_dots(x + y + x, x + y + y))
+
+
+def efficiency(q, v, fr, bp):
+    """traveling_efficiency at q, v against the path frame fr."""
+    errors = sum(tracking_errors(q, v, fr), [])
+    return traveling_efficiency(*row_dots(errors, errors), bp)
+
+
+def force(q, v, fr, bp, f_max=np.inf):
+    """The saturated travel force at q, v toward the path frame fr."""
+    f = travel_force(*tracking_errors(q, v, fr), fr[2], bp)
+    return saturate(f, row_dots(f, f)[0], f_max)
+
+
+def anchor(q, z, R_z, k_z):
+    """anchor_force at q for the target z."""
+    d = [float(a) - float(b) for a, b in zip(q, z)]
+    return anchor_force(d, row_dots(d, d)[0], R_z, k_z)
 
 
 unit_float = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -83,17 +114,17 @@ class TestBehaviorParams:
 
 class TestDirectionAlignment:
     def test_parallel(self):
-        assert direction_alignment([1, 0, 0], [2, 0, 0]) == 1.0
+        assert alignment([1, 0, 0], [2, 0, 0]) == 1.0
 
     def test_antiparallel(self):
-        assert direction_alignment([1, 0, 0], [-3, 0, 0]) == 0.0
+        assert alignment([1, 0, 0], [-3, 0, 0]) == 0.0
 
     def test_orthogonal(self):
-        assert direction_alignment([1, 0, 0], [0, 5, 0]) == pytest.approx(0.5)
+        assert alignment([1, 0, 0], [0, 5, 0]) == pytest.approx(0.5)
 
     def test_zero_vector_gives_one(self):
-        assert direction_alignment([0, 0, 0], [1, 2, 3]) == 1.0
-        assert direction_alignment([1, 2, 3], [0, 0, 0]) == 1.0
+        assert alignment([0, 0, 0], [1, 2, 3]) == 1.0
+        assert alignment([1, 2, 3], [0, 0, 0]) == 1.0
 
     @given(
         st.lists(st.floats(-10, 10, allow_nan=False), min_size=3, max_size=3),
@@ -101,9 +132,9 @@ class TestDirectionAlignment:
     )
     @settings(max_examples=60, deadline=None)
     def test_bounds_and_symmetry(self, x, y):
-        t = direction_alignment(x, y)
+        t = alignment(x, y)
         assert 0.0 <= t <= 1.0
-        assert t == pytest.approx(direction_alignment(y, x))
+        assert t == pytest.approx(alignment(y, x))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(7)
@@ -111,7 +142,7 @@ class TestDirectionAlignment:
             x, y = rng.normal(size=3), rng.normal(size=3)
             a, b = rng.random() * 10 + 0.01, rng.random() * 10 + 0.01
             assert abs(
-                direction_alignment(a * x, b * y) - direction_alignment(x, y)
+                alignment(a * x, b * y) - alignment(x, y)
             ) < 1e-12
 
 
@@ -142,18 +173,18 @@ class TestTravelingEfficiency:
     def test_perfect_tracking_is_one(self):
         q = SplineQuery(self.PATH).point_at(3.0)
         v = [BP.v_cruise, 0.0, 0.0]
-        assert traveling_efficiency(q, v, frame(self.PATH, q, s=3.0), BP) == 1.0
+        assert efficiency(q, v, frame(self.PATH, q, s=3.0), BP) == 1.0
 
     def test_large_error_is_zero(self):
         q = [0, 5, 0]
-        assert traveling_efficiency(q, [0, 0, 0], frame(self.PATH, q), BP) == 0.0
+        assert efficiency(q, [0, 0, 0], frame(self.PATH, q), BP) == 0.0
 
     def test_position_velocity_blend(self):
         # alpha=0.5 weights 0.3 m position error and 0.3 m/s speed error equally
         bp = BehaviorParams(x_c=0.1, x_M=0.6, alpha=0.5)
         fr = frame(self.PATH, None, bp, s=3.0)
-        lam_pos = traveling_efficiency([3.0, 0.3, 0.0], [bp.v_cruise, 0, 0], fr, bp)
-        lam_vel = traveling_efficiency([3.0, 0.0, 0.0], [bp.v_cruise - 0.3, 0, 0], fr, bp)
+        lam_pos = efficiency([3.0, 0.3, 0.0], [bp.v_cruise, 0, 0], fr, bp)
+        lam_vel = efficiency([3.0, 0.0, 0.0], [bp.v_cruise - 0.3, 0, 0], fr, bp)
         assert lam_pos == pytest.approx(lam_vel)
         assert 0.0 < lam_pos < 1.0
 
@@ -194,7 +225,7 @@ def own_step(own, neighbor_values, k, dt):
     lam = np.array([own, *neighbor_values], dtype=float)
     adj = np.zeros((len(lam), len(lam)))
     adj[0, 1:] = adj[1:, 0] = 1.0
-    return consensus_step(lam, adj, k, dt)[0]
+    return consensus_step(lam, adj, adj.sum(axis=1), k, dt)[0]
 
 
 class TestConsensusStep:
@@ -218,7 +249,7 @@ class TestConsensusStep:
         adj = line_graph(4).astype(float)
         dt, k = 0.01, 1.0
         for _ in range(5000):
-            vals = consensus_step(vals, adj, k, dt)
+            vals = consensus_step(vals, adj, adj.sum(axis=1), k, dt)
             vals[0] = 0.7
         assert max(abs(v - 0.7) for v in vals) < 1e-3
 
@@ -228,37 +259,37 @@ class TestTravelForce:
 
     def test_pulls_back_to_path(self):
         q = [3.0, 1.0, 0.0]
-        f = travel_force(q, [BP.v_cruise, 0, 0], frame(self.PATH, q, s=3.0), BP)
+        f = force(q, [BP.v_cruise, 0, 0], frame(self.PATH, q, s=3.0), BP)
         assert f[1] < 0.0
 
     def test_feedforward_only_on_track(self):
         q = [3.0, 0.0, 0.0]
-        f = travel_force(q, [BP.v_cruise, 0, 0], frame(self.PATH, q, s=3.0), BP)
+        f = force(q, [BP.v_cruise, 0, 0], frame(self.PATH, q, s=3.0), BP)
         assert np.allclose(f, 0.0, atol=1e-9)
 
     def test_saturation_respected(self):
         q = [0.0, 50.0, 0.0]
-        f = travel_force(q, [0, 0, 0], frame(self.PATH, q), BP, f_max=2.0)
+        f = force(q, [0, 0, 0], frame(self.PATH, q), BP, f_max=2.0)
         assert np.linalg.norm(f) == pytest.approx(2.0)
 
 
 class TestAnchorForce:
     def test_zero_at_center(self):
-        assert np.array_equal(anchor_force([1, 1, 1], [1, 1, 1], 1.0, 2.0), np.zeros(3))
+        assert np.array_equal(anchor([1, 1, 1], [1, 1, 1], 1.0, 2.0), np.zeros(3))
 
     def test_points_inward(self):
-        f = anchor_force([0.5, 0, 0], [0, 0, 0], 1.0, 2.0)
+        f = anchor([0.5, 0, 0], [0, 0, 0], 1.0, 2.0)
         assert f[0] < 0 and f[1] == 0 and f[2] == 0
 
     def test_grows_unbounded_near_boundary(self):
-        f1 = np.linalg.norm(anchor_force([0.9, 0, 0], [0, 0, 0], 1.0, 2.0))
-        f2 = np.linalg.norm(anchor_force([0.999, 0, 0], [0, 0, 0], 1.0, 2.0))
+        f1 = np.linalg.norm(anchor([0.9, 0, 0], [0, 0, 0], 1.0, 2.0))
+        f2 = np.linalg.norm(anchor([0.999, 0, 0], [0, 0, 0], 1.0, 2.0))
         assert f2 > f1 > 0
         assert f2 > 100
 
     def test_violation_raises(self):
         with pytest.raises(AnchorViolation):
-            anchor_force([1.0, 0, 0], [0, 0, 0], 1.0, 2.0)
+            anchor([1.0, 0, 0], [0, 0, 0], 1.0, 2.0)
 
 
 class TestElectWinner:

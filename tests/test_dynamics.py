@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conexplore.behavior import row_dots
 from conexplore.dynamics import (
     PAPER_FILTER_GAINS,
     BodyParams,
@@ -22,16 +23,18 @@ class TestBodyParams:
 
 class TestSaturate:
     def test_below_limit_unchanged(self):
-        f = np.array([3.0, 0.0, 0.0])
-        assert np.array_equal(saturate(f, 10.0), f)
+        f = [3.0, 0.0, 0.0]
+        assert np.array_equal(saturate(f, row_dots(f, f)[0], 10.0), f)
 
     def test_above_limit_rescaled(self):
-        out = saturate([30.0, 40.0, 0.0], 10.0)
+        f = [30.0, 40.0, 0.0]
+        out = saturate(f, row_dots(f, f)[0], 10.0)
         assert np.linalg.norm(out) == pytest.approx(10.0)
         assert np.allclose(out, [6.0, 8.0, 0.0])
 
     def test_zero_vector(self):
-        assert np.array_equal(saturate(np.zeros(3), 10.0), np.zeros(3))
+        f = [0.0, 0.0, 0.0]
+        assert np.array_equal(saturate(f, row_dots(f, f)[0], 10.0), np.zeros(3))
 
 
 class TestIntegrateStep:

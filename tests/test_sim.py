@@ -12,9 +12,13 @@ from conexplore.behavior import SECONDARY
 from conexplore.dynamics import SimulationFault
 from conexplore.planner import SmoothPath
 
-# every control law and the integrator, at the name conexplore.sim calls it by
+# every control law, the batched dot products they take and the integrator,
+# at the name conexplore.sim calls it by
 LAWS = (
+    "row_dots",
+    "tracking_errors",
     "travel_force",
+    "saturate",
     "traveling_efficiency",
     "direction_alignment",
     "adaptive_gain",
