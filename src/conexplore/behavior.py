@@ -99,7 +99,10 @@ def ramp(x: float, x_c: float, x_M: float) -> float:
 def tracking_errors(q, v, frame):
     """(v_gamma - v, q_gamma - q): velocity and position error to the path frame."""
     q_gamma, v_gamma, _ = frame
-    return [a - b for a, b in zip(v_gamma, v)], [a - b for a, b in zip(q_gamma, q)]
+    return (
+        [v_gamma[0] - v[0], v_gamma[1] - v[1], v_gamma[2] - v[2]],
+        [q_gamma[0] - q[0], q_gamma[1] - q[1], q_gamma[2] - q[2]],
+    )
 
 
 def traveling_efficiency(dvdv: float, dqdq: float, bp: BehaviorParams) -> float:
@@ -121,18 +124,25 @@ def adaptive_gain(theta: float, lam_hat: float, sigma: float) -> float:
 def consensus_step(lam, adj, deg, k: float, dt: float):
     """One Euler step of the disagreement law on every robot's estimate.
 
-    adj is the (N, N) neighbor weight matrix and deg its row sums, which the
-    caller keeps while adj stays the same; the result is clamped to [0, 1].
-    adj.dot gives the bits of adj @ lam at half its cost.
+    adj is the (N, N) neighbor weight matrix and deg its row sums as a list,
+    which the caller keeps while adj stays the same; returns the estimates,
+    clamped to [0, 1], as a list.  adj.dot gives the bits of adj @ lam at
+    half its cost; the rest is elementwise, so floats give the array law's
+    bits, and max(x, 0.0) keeps x on a tie as np.clip does.
     """
-    lam = lam + k * dt * (adj.dot(lam) - deg * lam)
-    np.maximum(0.0, lam, out=lam)
-    return np.minimum(lam, 1.0, out=lam)
+    flow = adj.dot(lam).tolist()
+    kdt = k * dt
+    return [min(max(x + kdt * (f - d * x), 0.0), 1.0) for x, f, d in zip(lam, flow, deg)]
 
 
 def travel_force(dv, dq, a_gamma, bp: BehaviorParams):
     """PD + feedforward tracking force from the tracking errors, before saturation."""
-    return [a + bp.k_v * x + bp.k_p * y for a, x, y in zip(a_gamma, dv, dq)]
+    k_v, k_p = bp.k_v, bp.k_p
+    return [
+        a_gamma[0] + k_v * dv[0] + k_p * dq[0],
+        a_gamma[1] + k_v * dv[1] + k_p * dq[1],
+        a_gamma[2] + k_v * dv[2] + k_p * dq[2],
+    ]
 
 
 def anchor_force(d, dd: float, R_z: float, k_z: float):

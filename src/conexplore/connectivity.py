@@ -8,6 +8,7 @@ floor is hit, or any inter-robot separation drops to the collision floor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,14 @@ class Spectrum:
     eigengap: float
 
 
+def _column(values):
+    """values as a (k, 1, 1) array, one (a, b) ramp per leading index."""
+    return np.array(values)[:, None, None]
+
+
 def ramp_down_pair(x, a, b):
-    """ramp_down and its derivative in x, from one clip of x."""
+    """ramp_down and its derivative in x, from one clip of x; a and b may be
+    arrays that broadcast against x, one ramp per element."""
     x = np.asarray(x, dtype=float)
     arg = (np.minimum(np.maximum(x, a), b) - a) / (b - a) * np.pi
     f = 0.5 + 0.5 * np.cos(arg)
@@ -71,13 +78,13 @@ def ramp_up(x, a, b):
 def _leave_one_out(ru):
     """P_i = prod_{k != i} ru[i, k] and loo[i, k] = P_i with factor k removed."""
     m = ru.copy()
-    np.fill_diagonal(m, 1.0)
+    m.flat[:: len(m) + 1] = 1.0
     zero = m == 0.0
     if not zero.any():
         # no vanished factor: the general branch below reduces to this
         P = m.prod(axis=1)
         loo = P[:, None] / m
-        np.fill_diagonal(loo, 0.0)
+        loo.flat[:: len(m) + 1] = 0.0
         return P, loo
     nz = np.where(zero, 1.0, m)
     prod_nz = nz.prod(axis=1)
@@ -91,7 +98,7 @@ def _leave_one_out(ru):
     if rows_one.any():
         # nonzero only at the single vanished factor
         loo[rows_one] = np.where(zero[rows_one], prod_nz[rows_one, None], 0.0)
-    np.fill_diagonal(loo, 0.0)
+    loo.flat[:: len(m) + 1] = 0.0
     return P, loo
 
 
@@ -102,19 +109,22 @@ class WeightFactors:
     def __init__(self, positions, obstacles: ObstacleSet, p: SensingParams):
         q = np.asarray(positions, dtype=float)
         n = len(q)
+        diag = slice(None, None, n + 1)  # the diagonal of a flattened (n, n) array
         diff = q[:, None, :] - q[None, :, :]
-        dist = np.linalg.norm(diff, axis=2)
-        np.fill_diagonal(dist, 1.0)  # placeholder, masked everywhere
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=2))  # np.linalg.norm's own sum
+        dist.flat[diag] = 1.0  # placeholder, masked everywhere
         self.dist = dist
         self.unit = diff / dist[:, :, None]  # unit[i, j] = (q_i - q_j) / d_ij
 
-        self.range_f, self.range_d = ramp_down_pair(dist, p.R_s_inner, p.R_s)
-        np.fill_diagonal(self.range_f, 0.0)
-        np.fill_diagonal(self.range_d, 0.0)
+        # the range ramp and the collision ramp (as 1 - ramp_down) in one pass
+        f, fd = ramp_down_pair(dist, _column((p.R_s_inner, p.R_c)), _column((p.R_s, p.R_c_outer)))
+        self.range_f, self.range_d = f[0], fd[0]
+        self.range_f.flat[diag] = 0.0
+        self.range_d.flat[diag] = 0.0
 
-        ru, self.coll_d = ramp_up_pair(dist, p.R_c, p.R_c_outer)
-        np.fill_diagonal(ru, 1.0)
-        np.fill_diagonal(self.coll_d, 0.0)
+        ru, self.coll_d = 1.0 - f[1], -fd[1]
+        ru.flat[diag] = 1.0
+        self.coll_d.flat[diag] = 0.0
         self.P, self.loo = _leave_one_out(ru)
 
         self.clear = obstacles.clearances(q)
@@ -141,12 +151,8 @@ class WeightFactors:
         qa, qb = q[ii], q[jj]
         seg, pt, count = segment_candidates(obstacles, qa, qb, self.dist[ii, jj], p.R_o_outer + 1e-9)
         a, u, uu, pts = segment_rows(qa, qb, obstacles.points, seg, pt)
-        r2 = p.R_m**2
-        wa = pts - a
-        wb = pts - np.take(qb, seg, axis=0).T
-        within = (wa[0] * wa[0] + wa[1] * wa[1] + wa[2] * wa[2] <= r2) | (
-            wb[0] * wb[0] + wb[1] * wb[1] + wb[2] * wb[2] <= r2
-        )
+        w = pts - np.stack([a, np.take(qb.T, seg, axis=1)])  # from each end to the point
+        within = (np.add.reduce(w * w, axis=1, initial=0.0) <= p.R_m**2).any(axis=0)
         t, gap, d = segment_gaps(a, u, uu, pts)
         d = np.where(within, d, np.inf)
         seen = count > 0
@@ -170,7 +176,7 @@ class WeightFactors:
 
     def weight_matrix(self) -> np.ndarray:
         W = self.range_f * self.obst_f * np.outer(self.P, self.P)
-        np.fill_diagonal(W, 0.0)
+        W.flat[:: len(W) + 1] = 0.0
         return W
 
 
@@ -194,7 +200,7 @@ def fiedler(L: np.ndarray) -> Spectrum:
     # remove any numerical component along the all-ones direction
     ones = np.ones(n) / np.sqrt(n)
     nu2 -= (nu2 @ ones) * ones
-    nrm = np.linalg.norm(nu2)
+    nrm = math.sqrt(nu2.dot(nu2))  # np.linalg.norm's own arithmetic
     if nrm > 0:
         nu2 /= nrm
     gap = float(evals[2] - evals[1]) if n > 2 else np.inf
@@ -221,7 +227,7 @@ def lambda2_gradient(factors: WeightFactors, spectrum: Spectrum) -> np.ndarray:
     C = factors.range_f * factors.obst_f
     T = (S * C * factors.P[None, :]).sum(axis=1)  # T_j = sum_k S_jk C_jk P_k
     K = (T[:, None] * factors.loo + T[None, :] * factors.loo.T) * factors.coll_d
-    np.fill_diagonal(K, 0.0)
+    K.flat[:: len(K) + 1] = 0.0
     grad += np.einsum("ij,ijd->id", K, factors.unit)
     return grad
 

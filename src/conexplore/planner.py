@@ -174,20 +174,20 @@ class SmoothPath:
         return self.total_length == 0.0
 
     def _nearest(self, q, lo: int, hi: int):
-        """Closest point to q among table rows lo..hi; returns (point, s).
+        """Closest point to q among table rows lo..hi; returns (point as a 3-list, s).
 
         Straight paths project exactly.  Otherwise the nearest row k is
         refined by the parabola through the squared distances of rows k - 1,
         k and k + 1, so accuracy is bounded by the table spacing.  Rows within
         1e-9 m of the nearest break the tie to the largest s.
         """
-        q = np.asarray(q, dtype=float)
         if self.degenerate:
-            return self.start.copy(), 0.0
+            return self.start.tolist(), 0.0
         if self._straight:
+            q = np.asarray(q, dtype=float)
             direction = self._tan[0]
             s = float(np.clip((q - self.start) @ direction, 0.0, self.total_length))
-            return self.start + s * direction, s
+            return (self.start + s * direction).tolist(), s
         d2 = ((self._samples[lo : hi + 1] - q) ** 2).sum(axis=1).tolist()
         dmin2 = min(d2)
         tie = max(dmin2, (math.sqrt(dmin2) + 1e-9) ** 2)
@@ -195,7 +195,8 @@ class SmoothPath:
         while d2[k_rel] > tie:
             k_rel -= 1
         k = lo + k_rel
-        if 0 < k < len(self._s) - 1:
+        s_rows, _, _, rows = self._table
+        if 0 < k < len(s_rows) - 1:
             if 0 < k_rel < hi - lo:
                 a, b, c = d2[k_rel - 1 : k_rel + 2]
             else:
@@ -208,18 +209,19 @@ class SmoothPath:
                 i0, w = k, off
             else:
                 i0, w = k - 1, 1.0 + off
-            p = (1.0 - w) * self._samples[i0] + w * self._samples[i0 + 1]
-            s = (1.0 - w) * self._s[i0] + w * self._s[i0 + 1]
-            return p, float(s)
-        return self._samples[k].copy(), float(self._s[k])
+            p = [(1.0 - w) * x + w * y for x, y in zip(rows[i0], rows[i0 + 1])]
+            return p, (1.0 - w) * s_rows[i0] + w * s_rows[i0 + 1]
+        return rows[k][:], s_rows[k]
 
     def closest_point(self, q):
         """Closest point to q on the whole path; returns (point, s)."""
-        return self._nearest(q, 0, len(self._s) - 1)
+        p, s = self._nearest(q, 0, len(self._s) - 1)
+        return np.array(p), s
 
     def track_frame(self, q, s_hint: float, window: float, v_cruise: float, taper_len: float):
         """Fused high-rate query: closest point within window of s_hint plus
-        virtual-point kinematics at that point.  Returns (q_gamma, s, v_gamma, a_gamma)."""
+        virtual-point kinematics at that point.  Returns (q_gamma, s, v_gamma,
+        a_gamma), the vectors as 3-lists."""
         s_rows = self._table[0]
         lo = max(0, bisect.bisect_left(s_rows, s_hint - window) - 1)
         hi = min(len(s_rows) - 1, bisect.bisect_left(s_rows, s_hint + window) + 1)
@@ -234,9 +236,9 @@ class SmoothPath:
 
     @functools.cached_property
     def _table(self):
-        """The s, tangent and curvature columns as Python lists, for the
-        per-tick scalar queries."""
-        return self._s.tolist(), self._tan.tolist(), self._curv.tolist()
+        """The s, tangent, curvature and sample columns as Python lists, for
+        the per-tick scalar queries."""
+        return self._s.tolist(), self._tan.tolist(), self._curv.tolist(), self._samples.tolist()
 
     def _locate(self, s: float):
         """Table row i and weight w with s in [0, total_length] between rows i - 1 and i."""
@@ -249,12 +251,15 @@ class SmoothPath:
     def _tangent_curvature(self, i: int, w: float):
         """(unit tangent, curvature vector) at weight w between rows i - 1 and i,
         as 3-lists; the norm sums x, y, z from the left, as numpy sums a row."""
-        _, tan, curv = self._table
-        t = [(1.0 - w) * a + w * b for a, b in zip(tan[i - 1], tan[i])]
+        _, tan, curv, _ = self._table
+        u = 1.0 - w
+        a, b = tan[i - 1], tan[i]
+        t = [u * a[0] + w * b[0], u * a[1] + w * b[1], u * a[2] + w * b[2]]
         nt = math.sqrt(t[0] * t[0] + t[1] * t[1] + t[2] * t[2])
         if nt > 0:
-            t = [x / nt for x in t]
-        return t, [(1.0 - w) * a + w * b for a, b in zip(curv[i - 1], curv[i])]
+            t = [t[0] / nt, t[1] / nt, t[2] / nt]
+        a, b = curv[i - 1], curv[i]
+        return t, [u * a[0] + w * b[0], u * a[1] + w * b[1], u * a[2] + w * b[2]]
 
 
 def taper_factor(remaining: float, taper_len: float):

@@ -174,7 +174,7 @@ class Simulation:
         self.q = np.array([r[0] for r in robots], dtype=float).reshape(self.n, 3)
         self.v = np.zeros((self.n, 3))
         self.agents = [RobotAgent(i, robots[i][1], bp) for i in range(self.n)]
-        self.lam_hat = np.zeros(self.n)
+        self.lam_hat = [0.0] * self.n
         self.net = netsim.Network(self.n, trace=[] if trace_dir else None)
         self.events = []
         self.t = 0.0
@@ -185,6 +185,7 @@ class Simulation:
         self._conn_rows = []
         self._iu = np.triu_indices(self.n, 1)
         self._frame_cache = {}
+        self._laws = None  # the control plan, renewed after each message round
         self._filter = ReferenceFilter(initial_position=self.q) if use_filter else None
 
     # -- planning helpers -----------------------------------------------------
@@ -371,6 +372,7 @@ class Simulation:
             if ag.role != before and ag.role in (PRIME, SECONDARY):
                 self._log_event(i, "role_change", ag.role)
         self.round += 1
+        self._laws = None
 
     def _plan_round(self, adj):
         self._message_round(adj, RobotAgent.plan_tick)
@@ -387,7 +389,21 @@ class Simulation:
 
     def _set_consensus_graph(self, adj_f):
         self._adj_f = adj_f
-        self._adj_deg = adj_f.sum(axis=1)
+        self._adj_deg = adj_f.sum(axis=1).tolist()
+
+    def _control_plan(self):
+        """(i, agent, law, target) of every robot a control law moves, in robot
+        order: the anchor law toward target z (as a list), or the travel law
+        of a prime or a secondary along its path.  Roles, paths and targets
+        change only in message rounds, so the plan holds until the next one."""
+        plan = []
+        for i, ag in enumerate(self.agents):
+            role = ag.role
+            if role == ANCHOR or (role == PRIME and ag.path is None and ag.z is not None):
+                plan.append((i, ag, ANCHOR, ag.z.tolist()))
+            elif role != CONNECTOR and ag.path is not None and not ag.path.degenerate:
+                plan.append((i, ag, role, ag.path))
+        return plan
 
     def _control_forces(self, f_lambda, tick=0):
         """Per-robot control forces for one tick; advances the consensus on
@@ -400,46 +416,40 @@ class Simulation:
         its connectivity force.
         """
         bp = self.bp
-        lam = consensus_step(self.lam_hat, self._adj_f, self._adj_deg, bp.k_consensus, self.dt).tolist()
+        if self._laws is None:
+            self._laws = self._control_plan()
+        lam = consensus_step(self.lam_hat, self._adj_f, self._adj_deg, bp.k_consensus, self.dt)
         q_rows = self.q.tolist()
         v_rows = self.v.tolist()
-        # (i, law, vector, velocity error, position error) in robot order: the
-        # anchor law on q - z, or the travel law of a prime or a secondary on
-        # its raw travel force
-        jobs = []
+        jobs = []  # (i, law, q - z or the raw travel force, dv, dq) in plan order
         rows = []  # flat 3-rows whose squared norms the laws take, in job order
-        for i, ag in enumerate(self.agents):
-            role = ag.role
-            if role == CONNECTOR:
-                continue
+        for i, ag, law, target in self._laws:
             q = q_rows[i]
-            if role == ANCHOR or (role == PRIME and ag.path is None and ag.z is not None):
-                d = [a - b for a, b in zip(q, ag.z.tolist())]
-                jobs.append((i, ANCHOR, d, None, None))
+            if law == ANCHOR:
+                d = [q[0] - target[0], q[1] - target[1], q[2] - target[2]]
+                jobs.append((i, law, d, None, None))
                 rows += d
-                if role == PRIME:
+                if ag.role == PRIME:
                     lam[i] = 1.0  # hosting at the target: report full efficiency
-                continue
-            path = ag.path
-            if path is None or path.degenerate:
                 continue
             # refresh the tracked path frame at 250 Hz and hold it in between;
             # the control laws still use the current q and v every tick
             cache = self._frame_cache.get(i)
-            if cache is None or cache[0] is not path or tick % 4 == 0:
-                p, ag.s_track, v_g, a_g = path.track_frame(self.q[i], ag.s_track, 0.25, bp.v_cruise, bp.R_z)
-                cache = self._frame_cache[i] = (path, (p.tolist(), v_g, a_g))
+            if cache is None or cache[0] is not target or tick % 4 == 0:
+                p, ag.s_track, v_g, a_g = target.track_frame(self.q[i], ag.s_track, 0.25, bp.v_cruise, bp.R_z)
+                cache = self._frame_cache[i] = (target, (p, v_g, a_g))
             frame = cache[1]
             dv, dq = tracking_errors(q, v_rows[i], frame)
             f = travel_force(dv, dq, frame[2], bp)
-            jobs.append((i, role, f, dv, dq))
+            jobs.append((i, law, f, dv, dq))
             rows += f
-            if role == PRIME:
+            if law == PRIME:
                 rows += dv + dq
         norms = iter(row_dots(rows, rows) if rows else ())
         forces = [0.0] * (3 * self.n)
         secondaries = []  # (i, saturated travel force)
         xs, ys = [], []  # alignment rows: f_lambda, ft, f_lambda against f_lambda, ft, ft
+        f_lam = f_lambda.tolist()
         for i, law, f, dv, dq in jobs:
             if law == ANCHOR:
                 forces[3 * i : 3 * i + 3] = anchor_force(f, next(norms), bp.R_z, bp.k_z)
@@ -450,7 +460,7 @@ class Simulation:
                 forces[3 * i : 3 * i + 3] = ft
             else:
                 secondaries.append((i, ft))
-                x = f_lambda[i].tolist()
+                x = f_lam[i]
                 xs += x + ft + x
                 ys += x + ft + ft
         if secondaries:
@@ -458,8 +468,8 @@ class Simulation:
             for k, (i, ft) in enumerate(secondaries):
                 theta = direction_alignment(*dots[3 * k : 3 * k + 3])
                 gain = adaptive_gain(theta, lam[i], bp.sigma)
-                forces[3 * i : 3 * i + 3] = [gain * c for c in ft]
-        self.lam_hat = np.array(lam)
+                forces[3 * i : 3 * i + 3] = [gain * ft[0], gain * ft[1], gain * ft[2]]
+        self.lam_hat = lam
         return np.array(forces).reshape(self.n, 3)
 
     # -- monitors ----------------------------------------------------------------
@@ -505,15 +515,21 @@ class Simulation:
         self._block_ticks = 0
         template = ",".join("%d" if c in ("robot_id", "role_code") else "%r" for c in head)
         self._robots_path = os.path.join(self.trace_dir, "robots.csv")
-        with open(self._robots_path, "w", newline="") as fh:
-            csv.writer(fh).writerow(head)
-            fh.flush()
-            self._writer = subprocess.Popen(
-                [sys.executable, "-I", TRACE_WRITER, template, str(self.TRACE_BLOCK * self.n)],
-                stdin=subprocess.PIPE,
-                stdout=fh,
-                stderr=subprocess.PIPE,
-            )
+        try:
+            with open(self._robots_path, "w", newline="") as fh:
+                csv.writer(fh).writerow(head)
+                fh.flush()
+                self._writer = subprocess.Popen(
+                    [sys.executable, "-I", TRACE_WRITER, template, str(self.TRACE_BLOCK * self.n)],
+                    stdin=subprocess.PIPE,
+                    stdout=fh,
+                    stderr=subprocess.PIPE,
+                )
+        except OSError as exc:
+            if exc.filename is not None:
+                raise
+            # a failed write or flush does not say which file it was writing
+            raise OSError(exc.errno, exc.strerror, self._robots_path) from exc
         return self._writer
 
     def _trace_tick(self):

@@ -110,14 +110,15 @@ def segment_gaps(a, u, uu, p):
     segment start a, its direction u (the segment runs from a to a + u) and
     one point p; uu (C,) holds max(u . u, 1e-300).  Returns (t, gap, d): the
     clamped segment parameter (C,), the vector from the point to its closest
-    segment point (3, C) and that vector's length (C,).  Each dot product is
-    summed x, y, z from the left, as numpy sums a length-3 row.
+    segment point (3, C) and that vector's length (C,).  Each dot product
+    adds its x, y and z terms to 0 in that order, as numpy sums a length-3
+    row; the 0 decides the sign of a zero sum.
     """
     w = p - a
     # maximum(0, t) keeps t on a tie, so -0.0 stays -0.0 as under np.clip
-    t = np.minimum(np.maximum(0.0, (w[0] * u[0] + w[1] * u[1] + w[2] * u[2]) / uu), 1.0)
+    t = np.minimum(np.maximum(0.0, np.add.reduce(w * u, axis=0, initial=0.0) / uu), 1.0)
     gap = t * u - w
-    return t, gap, np.sqrt(gap[0] * gap[0] + gap[1] * gap[1] + gap[2] * gap[2])
+    return t, gap, np.sqrt(np.add.reduce(gap * gap, axis=0, initial=0.0))
 
 
 def segment_candidates(obstacles: ObstacleSet, qa, qb, length, radius):
@@ -137,14 +138,9 @@ def segment_candidates(obstacles: ObstacleSet, qa, qb, length, radius):
 def segment_rows(qa, qb, points, seg, pt):
     """The arguments (a, u, uu, p) of segment_gaps for the candidate rows (seg, pt)
     of the segments qa[s]-qb[s]."""
-    u = qb - qa
-    uu = np.maximum(u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1] + u[:, 2] * u[:, 2], 1e-300)
-    return (
-        np.take(qa, seg, axis=0).T,
-        np.take(u, seg, axis=0).T,
-        np.take(uu, seg),
-        np.take(points, pt, axis=0).T,
-    )
+    u = (qb - qa).T
+    uu = np.maximum(np.add.reduce(u * u, axis=0, initial=0.0), 1e-300)
+    return np.take(qa.T, seg, axis=1), np.take(u, seg, axis=1), np.take(uu, seg), np.take(points.T, pt, axis=1)
 
 
 def near_pairs(ii, jj, clear, dist, radius):

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -223,7 +225,7 @@ def test_trace_writer_gives_csv_writer_bytes():
 
 def test_unwritable_robot_trace_raises(two_explorers, tmp_path, writers):
     (tmp_path / "robots.csv").symlink_to("/dev/full")
-    with pytest.raises(OSError):
+    with pytest.raises(OSError, match="robots.csv"):
         harness.run_trial(two_explorers, trace_dir=tmp_path)
     assert all(w.poll() is not None for w in writers)
 
@@ -245,4 +247,61 @@ def test_cli_unwritable_robot_trace_exits_4(tmp_path, capsys):
     rc = cli.main(["run", "--scenario", "scenarios/single_robot.json", "--trace-dir", str(tmp_path)])
     assert rc == 4
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
+    assert len(err) == 1 and err[0].startswith("error: ") and "robots.csv" in err[0]
+
+
+def _all_pairs_min(q) -> float:
+    i, j = np.triu_indices(len(q), 1)
+    diff = q[i] - q[j]
+    return float(np.sqrt((diff * diff).sum(axis=1).min()))
+
+
+@pytest.mark.parametrize(
+    "batch, seed, connectors",
+    [("scenarios/batch_walled.json", 2, 4), ("scenarios/batch_empty.json", 0, 2)],
+)
+def test_certified_pairwise_minimum_equals_all_pairs_check(batch, seed, connectors, monkeypatch):
+    # an all-pairs check after every 1 kHz tick, beside the certified monitor:
+    # after each tick both running minima are the same float
+    with open(batch) as fh:
+        path = json.load(fh)["scenario"]
+    scenario = dataclasses.replace(harness.load_scenario(path, seed=seed, connectors=connectors), timeout=5.0)
+    brute = {"min": math.inf, "ticks": 0, "differ": []}
+    update = sim.PairwiseMinimum.update
+
+    def checked(self, q, traveled, step):
+        update(self, q, traveled, step)
+        brute["min"] = min(brute["min"], _all_pairs_min(q))
+        brute["ticks"] += 1
+        if self.value.hex() != brute["min"].hex():
+            brute["differ"].append((brute["ticks"], self.value, brute["min"]))
+
+    monkeypatch.setattr(sim.PairwiseMinimum, "update", checked)
+    metrics, result = harness.run_trial(scenario)
+    assert brute["ticks"] == 5000 and result.fault is None
+    assert not brute["differ"], brute["differ"][:5]
+    assert result.min_interrobot_dist.hex() == brute["min"].hex()
+
+
+def test_single_robot_keeps_its_obstacle_clearance(tmp_path, monkeypatch):
+    # one robot beside a wall: the field has no pair to weigh, yet the
+    # clearance monitor still reads the robot's own clearance at every field
+    # tick, the minimum over the points
+    cfg = dict(TWO_EXPLORERS, name="one_by_a_wall", robots=TWO_EXPLORERS["robots"][:1])
+    cfg["obstacles"] = {"boxes": [{"min": [0.0, 4.0, 0.0], "max": [10.0, 4.2, 3.0], "spacing": 0.25}]}
+    (tmp_path / "one.json").write_text(json.dumps(cfg))
+    scenario = harness.load_scenario(tmp_path / "one.json")
+    positions = []
+    field = sim.evaluate_field
+
+    def captured(q, *args):
+        positions.append(q.copy())
+        return field(q, *args)
+
+    monkeypatch.setattr(sim, "evaluate_field", captured)
+    metrics, result = harness.run_trial(scenario)
+    assert metrics.completed and result.fault is None
+    pts = scenario.obstacles.points
+    expect = min(float(np.sqrt(((q[0] - pts) ** 2).sum(axis=1).min())) for q in positions)
+    assert math.isfinite(result.min_obstacle_clearance)
+    assert result.min_obstacle_clearance.hex() == expect.hex()
