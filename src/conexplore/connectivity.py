@@ -8,6 +8,7 @@ floor is hit, or any inter-robot separation drops to the collision floor.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,9 +45,13 @@ class Spectrum:
     eigengap: float
 
 
-def _column(values):
-    """values as a (k, 1, 1) array, one (a, b) ramp per leading index."""
-    return np.array(values)[:, None, None]
+@functools.lru_cache(maxsize=16)
+def _stacked_ramps(*bounds):
+    """(a, b) of the ramps (a0, b0, a1, b1, ...) as (k, 1, 1) arrays, one
+    ramp per leading index; read-only, as the cache shares them."""
+    a, b = np.array(bounds).reshape(-1, 2, 1, 1).transpose(1, 0, 2, 3)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
 
 
 def ramp_down_pair(x, a, b):
@@ -117,7 +122,7 @@ class WeightFactors:
         self.unit = diff / dist[:, :, None]  # unit[i, j] = (q_i - q_j) / d_ij
 
         # the range ramp and the collision ramp (as 1 - ramp_down) in one pass
-        f, fd = ramp_down_pair(dist, _column((p.R_s_inner, p.R_c)), _column((p.R_s, p.R_c_outer)))
+        f, fd = ramp_down_pair(dist, *_stacked_ramps(p.R_s_inner, p.R_s, p.R_c, p.R_c_outer))
         self.range_f, self.range_d = f[0], fd[0]
         self.range_f.flat[diag] = 0.0
         self.range_d.flat[diag] = 0.0
@@ -198,7 +203,7 @@ def fiedler(L: np.ndarray) -> Spectrum:
     lam2 = float(evals[1])
     nu2 = evecs[:, 1].copy()
     # remove any numerical component along the all-ones direction
-    ones = np.ones(n) / np.sqrt(n)
+    ones = np.full(n, 1.0 / math.sqrt(n))
     nu2 -= (nu2 @ ones) * ones
     nrm = math.sqrt(nu2.dot(nu2))  # np.linalg.norm's own arithmetic
     if nrm > 0:

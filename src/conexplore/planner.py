@@ -188,7 +188,8 @@ class SmoothPath:
             direction = self._tan[0]
             s = float(np.clip((q - self.start) @ direction, 0.0, self.total_length))
             return (self.start + s * direction).tolist(), s
-        d2 = ((self._samples[lo : hi + 1] - q) ** 2).sum(axis=1).tolist()
+        d = self._samples[lo : hi + 1] - q
+        d2 = np.add.reduce(d * d, axis=1).tolist()
         dmin2 = min(d2)
         tie = max(dmin2, (math.sqrt(dmin2) + 1e-9) ** 2)
         k_rel = len(d2) - 1

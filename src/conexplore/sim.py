@@ -315,7 +315,7 @@ class Simulation:
                 f_total = self._control_forces(f_lambda, tick) + f_lambda
                 self.q, self.v = integrate_step(self.q, self.v, f_total, body, dt)
                 dq = dt * self.v  # the position step just taken
-                step = np.sqrt((dq * dq).sum(axis=1))
+                step = np.sqrt(np.add.reduce(dq * dq, axis=1))
                 traveled += step
                 pairwise.update(self.q, traveled, step)
                 for ag in self.agents:
