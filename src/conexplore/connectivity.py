@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
 from scipy.linalg import lapack
 
 from .world import ObstacleSet, SensingParams, near_pairs, segment_candidates, segment_gaps, segment_rows
@@ -132,11 +131,12 @@ class WeightFactors:
         self.coll_d.flat[diag] = 0.0
         self.P, self.loo = _leave_one_out(ru)
 
-        self.clear = obstacles.clearances(q)
+        self.clear = np.full(n, np.inf)
         self.obst_f = np.ones((n, n))
         self.obst_d = np.zeros((n, n))
         self.obst_g = np.zeros((n, n, 3))  # grad of d_ijo wrt q_i (first index)
         if not obstacles.empty:
+            self.clear = obstacles.clearances(q)
             ii, jj = np.nonzero(np.triu(self.range_f, 1) > 0.0)
             # pruned pairs keep a unit factor
             ii, jj = near_pairs(ii, jj, self.clear, dist, p.R_o_outer)
@@ -292,7 +292,7 @@ def evaluate_field(
             dV=0.0,
             forces=np.zeros((n, 3)),
             degenerate=False,
-            clearances=obstacles.clearances(q),
+            clearances=np.full(n, np.inf) if obstacles.empty else obstacles.clearances(q),
         )
     factors = WeightFactors(q, obstacles, sensing)
     W = factors.weight_matrix()

@@ -40,7 +40,7 @@ def integrate_step(q, v, f, bp: BodyParams, dt: float):
     if dt <= 0:
         raise ValueError("dt must be positive")
     f = np.asarray(f, dtype=float)
-    if not math.isfinite(f.sum()):
+    if not math.isfinite(np.add.reduce(f, axis=None)):
         raise SimulationFault("non-finite force input")
     v_new = (v + (dt / bp.mass) * f) / (1.0 + dt * bp.damping / bp.mass)
     return q + dt * v_new, v_new

@@ -105,7 +105,7 @@ class PairwiseMinimum:
         if not len(self._iu[0]):
             return
         self._ticks += 1
-        self._skin += float(step.max()) + self.TICK_MARGIN
+        self._skin += float(np.maximum.reduce(step)) + self.TICK_MARGIN
         ref = self._ref
         if ref is not None and ref[0][0] - 2.0 * self._skin - self.MARGIN >= self.value:
             return  # no pair can come below the minimum
