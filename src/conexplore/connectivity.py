@@ -8,7 +8,6 @@ floor is hit, or any inter-robot separation drops to the collision floor.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -42,15 +41,6 @@ class Spectrum:
     lambda2: float
     nu2: np.ndarray
     eigengap: float
-
-
-@functools.lru_cache(maxsize=16)
-def _stacked_ramps(*bounds):
-    """(a, b) of the ramps (a0, b0, a1, b1, ...) as (k, 1, 1) arrays, one
-    ramp per leading index; read-only, as the cache shares them."""
-    a, b = np.array(bounds).reshape(-1, 2, 1, 1).transpose(1, 0, 2, 3)
-    a.flags.writeable = b.flags.writeable = False
-    return a, b
 
 
 def ramp_down_pair(x, a, b):
@@ -121,7 +111,8 @@ class WeightFactors:
         self.unit = diff / dist[:, :, None]  # unit[i, j] = (q_i - q_j) / d_ij
 
         # the range ramp and the collision ramp (as 1 - ramp_down) in one pass
-        f, fd = ramp_down_pair(dist, *_stacked_ramps(p.R_s_inner, p.R_s, p.R_c, p.R_c_outer))
+        a, b = np.array([[p.R_s_inner, p.R_c], [p.R_s, p.R_c_outer]])[:, :, None, None]
+        f, fd = ramp_down_pair(dist, a, b)
         self.range_f, self.range_d = f[0], fd[0]
         self.range_f.flat[diag] = 0.0
         self.range_d.flat[diag] = 0.0
