@@ -130,8 +130,8 @@ class PairwiseMinimum:
         i, j = self._iu
         diff = q[i] - q[j]
         d2 = (diff * diff).sum(axis=1)
-        order = d2.argsort(kind="stable")
-        self.value = min(self.value, float(np.sqrt(d2[order[0]])))
+        self.value = min(self.value, float(np.sqrt(d2.min())))
+        order = d2.argsort()
         self._ref = list(zip(np.sqrt(d2[order]).tolist(), i[order].tolist(), j[order].tolist()))
         self._ref_traveled = traveled.copy()
         self._skin = 0.0
