@@ -72,8 +72,7 @@ def row_dots(a, b):
     value has the bits of that row's own .dot.  A plain left-to-right float
     sum does not: ddot fuses multiply-adds.
     """
-    x = np.array(a).reshape(-1, 3)
-    return np.vecdot(x, x if b is a else np.array(b).reshape(-1, 3)).tolist()
+    return np.vecdot(np.array(a).reshape(-1, 3), np.array(b).reshape(-1, 3)).tolist()
 
 
 def direction_alignment(xx: float, yy: float, xy: float) -> float:

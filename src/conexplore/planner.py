@@ -188,15 +188,21 @@ class SmoothPath:
             direction = self._tan[0]
             s = float(np.clip((q - self.start) @ direction, 0.0, self.total_length))
             return (self.start + s * direction).tolist(), s
-        d = self._samples[lo : hi + 1] - q
-        d2 = np.add.reduce(d * d, axis=1).tolist()
+        s_rows, _, _, rows = self._table
+        if hi - lo < 24:
+            # a tracking window: float sums of squares beat numpy's fixed cost,
+            # and add x, y, z from the left as numpy's row sums do
+            x, y, z = q
+            d2 = [(a - x) * (a - x) + (b - y) * (b - y) + (c - z) * (c - z) for a, b, c in rows[lo : hi + 1]]
+        else:
+            d = self._samples[lo : hi + 1] - q
+            d2 = np.add.reduce(d * d, axis=1).tolist()
         dmin2 = min(d2)
         tie = max(dmin2, (math.sqrt(dmin2) + 1e-9) ** 2)
         k_rel = len(d2) - 1
         while d2[k_rel] > tie:
             k_rel -= 1
         k = lo + k_rel
-        s_rows, _, _, rows = self._table
         if 0 < k < len(s_rows) - 1:
             if 0 < k_rel < hi - lo:
                 a, b, c = d2[k_rel - 1 : k_rel + 2]
@@ -210,8 +216,9 @@ class SmoothPath:
                 i0, w = k, off
             else:
                 i0, w = k - 1, 1.0 + off
-            p = [(1.0 - w) * x + w * y for x, y in zip(rows[i0], rows[i0 + 1])]
-            return p, (1.0 - w) * s_rows[i0] + w * s_rows[i0 + 1]
+            u, a, b = 1.0 - w, rows[i0], rows[i0 + 1]
+            p = [u * a[0] + w * b[0], u * a[1] + w * b[1], u * a[2] + w * b[2]]
+            return p, u * s_rows[i0] + w * s_rows[i0 + 1]
         return rows[k][:], s_rows[k]
 
     def closest_point(self, q):
@@ -296,4 +303,7 @@ def path_kinematics(path: SmoothPath, s: float, v_cruise: float, taper_len: floa
     speed = v_cruise * f
     centripetal = speed * speed
     tangential = v_cruise * dfds * speed
-    return [speed * t for t in tan], [centripetal * c + tangential * t for c, t in zip(curv, tan)]
+    return (
+        [speed * tan[0], speed * tan[1], speed * tan[2]],
+        [centripetal * c + tangential * t for c, t in zip(curv, tan)],
+    )

@@ -409,11 +409,12 @@ class Simulation:
         """Per-robot control forces for one tick; advances the consensus on
         the prime's traveling efficiency and pins the prime's own estimate.
 
-        The laws run on Python floats.  Their dot products come in two
-        batches, each one row_dots call: first |f|^2 of every raw travel
-        force, the tracking errors of the prime and q - z of every anchored
-        robot; then the alignment dots of each secondary's travel force with
-        its connectivity force.
+        The laws run on Python floats and take their dot products from
+        row_dots, one np.vecdot call for the whole team: |f|^2 of every raw
+        travel force, the prime's |dv|^2 and |dq|^2, |q - z|^2 of every
+        anchored robot, and each secondary's alignment dots x.x and x.f with
+        its connectivity force x.  Where saturation scales a secondary's
+        force, a second call takes its alignment dots with the scaled force.
         """
         bp = self.bp
         if self._laws is None:
@@ -421,14 +422,16 @@ class Simulation:
         lam = consensus_step(self.lam_hat, self._adj_f, self._adj_deg, bp.k_consensus, self.dt)
         q_rows = self.q.tolist()
         v_rows = self.v.tolist()
-        jobs = []  # (i, law, q - z or the raw travel force, dv, dq) in plan order
-        rows = []  # flat 3-rows whose squared norms the laws take, in job order
+        f_lam = f_lambda.tolist()
+        jobs = []  # (i, law, q - z or the raw travel force) in plan order
+        xs, ys = [], []  # flat 3-rows whose dot products the laws take, in job order
         for i, ag, law, target in self._laws:
             q = q_rows[i]
             if law == ANCHOR:
                 d = [q[0] - target[0], q[1] - target[1], q[2] - target[2]]
-                jobs.append((i, law, d, None, None))
-                rows += d
+                jobs.append((i, law, d))
+                xs += d
+                ys += d
                 if ag.role == PRIME:
                     lam[i] = 1.0  # hosting at the target: report full efficiency
                 continue
@@ -436,39 +439,49 @@ class Simulation:
             # the control laws still use the current q and v every tick
             cache = self._frame_cache.get(i)
             if cache is None or cache[0] is not target or tick % 4 == 0:
-                p, ag.s_track, v_g, a_g = target.track_frame(self.q[i], ag.s_track, 0.25, bp.v_cruise, bp.R_z)
+                p, ag.s_track, v_g, a_g = target.track_frame(q, ag.s_track, 0.25, bp.v_cruise, bp.R_z)
                 cache = self._frame_cache[i] = (target, (p, v_g, a_g))
             frame = cache[1]
             dv, dq = tracking_errors(q, v_rows[i], frame)
             f = travel_force(dv, dq, frame[2], bp)
-            jobs.append((i, law, f, dv, dq))
-            rows += f
+            jobs.append((i, law, f))
             if law == PRIME:
-                rows += dv + dq
-        norms = iter(row_dots(rows, rows) if rows else ())
-        forces = [0.0] * (3 * self.n)
-        secondaries = []  # (i, saturated travel force)
-        xs, ys = [], []  # alignment rows: f_lambda, ft, f_lambda against f_lambda, ft, ft
-        f_lam = f_lambda.tolist()
-        for i, law, f, dv, dq in jobs:
-            if law == ANCHOR:
-                forces[3 * i : 3 * i + 3] = anchor_force(f, next(norms), bp.R_z, bp.k_z)
-                continue
-            ft = saturate(f, next(norms), self.body.f_max)
-            if law == PRIME:
-                lam[i] = traveling_efficiency(next(norms), next(norms), bp)
-                forces[3 * i : 3 * i + 3] = ft
+                e = f + dv + dq
+                xs += e
+                ys += e
             else:
-                secondaries.append((i, ft))
                 x = f_lam[i]
-                xs += x + ft + x
-                ys += x + ft + ft
-        if secondaries:
-            dots = row_dots(xs, ys)
-            for k, (i, ft) in enumerate(secondaries):
-                theta = direction_alignment(*dots[3 * k : 3 * k + 3])
-                gain = adaptive_gain(theta, lam[i], bp.sigma)
-                forces[3 * i : 3 * i + 3] = [gain * ft[0], gain * ft[1], gain * ft[2]]
+                xs += f + x + x
+                ys += f + x + f
+        dots = iter(row_dots(xs, ys) if xs else ())
+        forces = [0.0] * (3 * self.n)
+        aligned = []  # (i, saturated travel force, x.x, ft.ft, x.ft) of each secondary
+        scaled = []  # (i, saturated travel force, x.x) of a secondary whose force was scaled
+        for i, law, f in jobs:
+            if law == ANCHOR:
+                forces[3 * i : 3 * i + 3] = anchor_force(f, next(dots), bp.R_z, bp.k_z)
+                continue
+            ff = next(dots)
+            ft = saturate(f, ff, self.body.f_max)
+            if law == PRIME:
+                lam[i] = traveling_efficiency(next(dots), next(dots), bp)
+                forces[3 * i : 3 * i + 3] = ft
+                continue
+            xx, xf = next(dots), next(dots)
+            if ft is f:
+                aligned.append((i, ft, xx, ff, xf))
+            else:
+                scaled.append((i, ft, xx))
+        if scaled:
+            xs, ys = [], []
+            for i, ft, _ in scaled:
+                xs += ft + f_lam[i]
+                ys += ft + ft
+            dots = iter(row_dots(xs, ys))
+            aligned += [(i, ft, xx, next(dots), next(dots)) for i, ft, xx in scaled]
+        for i, ft, xx, yy, xy in aligned:
+            gain = adaptive_gain(direction_alignment(xx, yy, xy), lam[i], bp.sigma)
+            forces[3 * i : 3 * i + 3] = [gain * ft[0], gain * ft[1], gain * ft[2]]
         self.lam_hat = lam
         return np.array(forces).reshape(self.n, 3)
 

@@ -140,7 +140,12 @@ def segment_rows(qa, qb, points, seg, pt):
     of the segments qa[s]-qb[s]."""
     u = (qb - qa).T
     uu = np.maximum(np.add.reduce(u * u, axis=0, initial=0.0), 1e-300)
-    return np.take(qa.T, seg, axis=1), np.take(u, seg, axis=1), np.take(uu, seg), np.take(points.T, pt, axis=1)
+    return (
+        np.take(qa.T, seg, axis=1),
+        np.take(u, seg, axis=1),
+        np.take(uu, seg),
+        np.take(points.T, pt, axis=1),
+    )
 
 
 def near_pairs(ii, jj, clear, dist, radius):

@@ -120,8 +120,8 @@ def main(argv=None) -> int:
         key = trial_key(sc.name, ncon, seed)
         trials[key] = trial_record(sc.robots, metrics, result)
         if args.check is not None:
-            changed = changed_fields({key: old[key]}, {key: trials[key]})
-            print(f"{'changed' if changed else 'same'}: {key}" + (f": {', '.join(changed[key])}" if changed else ""))
+            changed = changed_fields({key: old[key]}, {key: trials[key]}).get(key)
+            print(f"changed: {key}: {', '.join(changed)}" if changed else f"same: {key}")
     if args.check is not None:
         changed = changed_fields({k: old[k] for k in trials}, trials)
         print(f"{len(trials)} trials checked, {len(changed)} changed")

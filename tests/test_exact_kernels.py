@@ -111,7 +111,8 @@ def test_premise_length3_sum_is_left_to_right():
     t[rng.random((20000, 3)) < 0.05] = -0.0
     for rows in (t * t, t * random_rows(rng, 20000)):
         plain = [((0.0 + x) + y) + z for x, y, z in rows.tolist()]
-        assert same_bits(rows.sum(axis=1), plain) and same_bits([r.sum() for r in rows[:2000]], plain[:2000]), (
+        one_by_one = [r.sum() for r in rows[:2000]]
+        assert same_bits(rows.sum(axis=1), plain) and same_bits(one_by_one, plain[:2000]), (
             "premise broken: numpy no longer sums a length-3 row as ((0 + x) + y) + z"
         )
 
@@ -144,7 +145,9 @@ def test_premise_component_segment_kernel_equals_dense():
         bad += not (
             same_bits(ct, t.ravel()) and same_bits(cgap.T, gap.reshape(-1, 3)) and same_bits(cd, d.ravel())
         )
-    assert not bad, f"premise broken: the component-form segment kernel differs from the (P, M, 3) one on {bad} of 100"
+    assert not bad, (
+        f"premise broken: the component-form segment kernel differs from the (P, M, 3) one on {bad} of 100"
+    )
 
 
 # -- the float laws against the numpy laws they replaced --------------------------
@@ -186,13 +189,12 @@ def test_float_laws_equal_numpy_laws():
     q_rows, v_rows, f_rows = q.tolist(), v.tolist(), f_lambda.tolist()
     frames = list(zip(q_gamma.tolist(), v_gamma.tolist(), a_gamma.tolist()))
     # stage 1 as Simulation batches it: raw force, dv, dq and q - z of every case
-    raw, errors, offsets, rows = [], [], [], []
+    raw, offsets, rows = [], [], []
     for k in range(N_ROWS):
         dv, dq = tracking_errors(q_rows[k], v_rows[k], frames[k])
         f = travel_force(dv, dq, frames[k][2], BP)
         d = [a - b for a, b in zip(q_rows[k], z[k].tolist())]
         raw.append(f)
-        errors.append((dv, dq))
         offsets.append(d)
         rows += f + dv + dq + d
     norms = row_dots(rows, rows)
@@ -223,10 +225,12 @@ def test_float_laws_equal_numpy_laws():
                 anchor_force(offsets[k], norms[4 * k + 3], BP.R_z, BP.k_z)
             continue
         at_target += norms[4 * k + 3] == 0.0
-        bad["anchor_force"] += not same_bits(anchor_force(offsets[k], norms[4 * k + 3], BP.R_z, BP.k_z), expect_anchor)
+        got = anchor_force(offsets[k], norms[4 * k + 3], BP.R_z, BP.k_z)
+        bad["anchor_force"] += not same_bits(got, expect_anchor)
     assert bad == dict.fromkeys(bad, 0), bad
     # every edge case was reached
-    assert min(saturated, at_ramp_ends, zero_alignment, at_target) > 0, (saturated, at_ramp_ends, zero_alignment, at_target)
+    reached = (saturated, at_ramp_ends, zero_alignment, at_target)
+    assert min(reached) > 0, reached
 
 
 def test_float_saturation_at_the_ulp_of_f_max():
@@ -243,7 +247,10 @@ def test_float_saturation_at_the_ulp_of_f_max():
 
 def test_float_path_kinematics_equal_numpy():
     rng = np.random.default_rng(24)
-    paths = [SmoothPath(np.cumsum(rng.normal(size=(int(rng.integers(3, 9)), 3)), axis=0), sample_step=0.05) for _ in range(12)]
+    paths = [
+        SmoothPath(np.cumsum(rng.normal(size=(int(rng.integers(3, 9)), 3)), axis=0), sample_step=0.05)
+        for _ in range(12)
+    ]
     paths += [SmoothPath([[0, 0, 0], [4, 1, 0]]), SmoothPath([[1, 1, 1]])]
     bad = 0
     for path in paths:
@@ -266,8 +273,8 @@ def test_float_alignment_equals_numpy(x, y):
 
 
 def test_consensus_step_equals_numpy_law():
-    # the cached row sums and the clamp by maximum/minimum give the bits of
-    # the law with adj @ lam, fresh row sums and np.clip
+    # adj.dot, the cached row sums and the float clamp give the bits of the
+    # array law with adj @ lam, fresh row sums and np.clip
     rng = np.random.default_rng(25)
     for _ in range(300):
         n = int(rng.integers(2, 11))
@@ -284,6 +291,11 @@ def test_fiedler_on_dsyevd_equals_eigh():
         W = np.triu(rng.random((n, n)), 1)
         L = laplacian(W + W.T)
         spec = fiedler(L)
+        # the projection and renormalisation on np.linalg.eigh's eigenvector
         evals, evecs = np.linalg.eigh(L)
-        assert spec.lambda2 == evals[1]
+        nu2 = evecs[:, 1].copy()
+        ones = np.ones(n) / np.sqrt(n)
+        nu2 -= (nu2 @ ones) * ones
+        nu2 /= np.linalg.norm(nu2)
+        assert spec.lambda2 == evals[1] and same_bits(spec.nu2, nu2)
         assert spec.eigengap == (evals[2] - evals[1] if n > 2 else np.inf)
