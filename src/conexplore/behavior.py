@@ -4,6 +4,7 @@ the per-robot role state machine with its flooding elections."""
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,9 +71,11 @@ def row_dots(a, b):
     One batched np.vecdot call: numpy takes each row's dot product with the
     same BLAS ddot that ndarray.dot uses on a pair of 3-vectors, so every
     value has the bits of that row's own .dot.  A plain left-to-right float
-    sum does not: ddot fuses multiply-adds.
+    sum does not: ddot fuses multiply-adds.  struct packs the floats as C
+    doubles, the same values, in half the time np.array takes to read a list.
     """
-    return np.vecdot(np.array(a).reshape(-1, 3), np.array(b).reshape(-1, 3)).tolist()
+    ab = np.frombuffer(struct.pack(f"{len(a) + len(b)}d", *a, *b)).reshape(2, -1, 3)
+    return np.vecdot(ab[0], ab[1]).tolist()
 
 
 def direction_alignment(xx: float, yy: float, xy: float) -> float:
@@ -83,7 +86,9 @@ def direction_alignment(xx: float, yy: float, xy: float) -> float:
     if nx == 0.0 or ny == 0.0:
         return 1.0
     c = xy / (nx * ny)
-    return 0.5 * (1.0 + max(-1.0, min(1.0, c)))
+    # max(-1.0, min(1.0, c)), with its verdict on ties and NaN
+    c = c if c < 1.0 else 1.0
+    return 0.5 * (1.0 + (c if c > -1.0 else -1.0))
 
 
 def ramp(x: float, x_c: float, x_M: float) -> float:
@@ -128,11 +133,15 @@ def consensus_step(lam, adj, deg, k: float, dt: float):
     which the caller keeps while adj stays the same; returns the estimates,
     clamped to [0, 1], as a list.  adj.dot gives the bits of adj @ lam at
     half its cost; the rest is elementwise, so floats give the array law's
-    bits, and max(x, 0.0) keeps x on a tie as np.clip does.
+    bits.  The clamp takes y unless it lies strictly outside [0, 1], so it
+    keeps -0.0 and NaN as np.clip does (and as min(max(y, 0.0), 1.0) would).
     """
     flow = adj.dot(lam).tolist()
     kdt = k * dt
-    return [min(max(x + kdt * (f - d * x), 0.0), 1.0) for x, f, d in zip(lam, flow, deg)]
+    return [
+        0.0 if (y := x + kdt * (f - d * x)) < 0.0 else 1.0 if y > 1.0 else y
+        for x, f, d in zip(lam, flow, deg)
+    ]
 
 
 def travel_force(dv, dq, a_gamma, bp: BehaviorParams):

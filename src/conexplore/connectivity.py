@@ -44,8 +44,9 @@ class Spectrum:
 
 
 def ramp_down_pair(x, a, b):
-    """ramp_down and its derivative in x, from one clip of x; a and b may be
-    arrays that broadcast against x, one ramp per element."""
+    """C1 cosine ramp, 1 up to a and down to 0 at b, and its derivative in x,
+    from one clip of x; a and b may be arrays that broadcast against x, one
+    ramp per element."""
     x = np.asarray(x, dtype=float)
     arg = (np.minimum(np.maximum(x, a), b) - a) / (b - a) * np.pi
     f = 0.5 + 0.5 * np.cos(arg)
@@ -53,20 +54,10 @@ def ramp_down_pair(x, a, b):
     return (f, fd) if f.ndim else (float(f), float(fd))
 
 
-def ramp_down(x, a, b):
-    """C1 cosine ramp: 1 on [0, a], down to 0 at b, 0 beyond."""
-    return ramp_down_pair(x, a, b)[0]
-
-
 def ramp_up_pair(x, a, b):
-    """ramp_up, 0 up to a and rising to 1 at b, and its derivative in x."""
+    """C1 cosine ramp, 0 up to a and rising to 1 at b, and its derivative in x."""
     f, fd = ramp_down_pair(x, a, b)
     return 1.0 - f, -fd
-
-
-def ramp_up(x, a, b):
-    """C1 cosine ramp: 0 up to a, rising to 1 at b, 1 beyond."""
-    return ramp_up_pair(x, a, b)[0]
 
 
 def _leave_one_out(ru):
@@ -110,7 +101,7 @@ class WeightFactors:
         self.dist = dist
         self.unit = diff / dist[:, :, None]  # unit[i, j] = (q_i - q_j) / d_ij
 
-        # the range ramp and the collision ramp (as 1 - ramp_down) in one pass
+        # the range ramp and the collision ramp (as 1 - the down ramp) in one pass
         a, b = np.array([[p.R_s_inner, p.R_c], [p.R_s, p.R_c_outer]])[:, :, None, None]
         f, fd = ramp_down_pair(dist, a, b)
         self.range_f, self.range_d = f[0], fd[0]

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -67,7 +68,10 @@ def _sample_targets(cfg, obstacles, grid, bounds, sensing, rng):
     (k, 3) block row by row, so row r is the r-th single draw, and once a row
     is accepted the stream is rewound and advanced past that row only.  The
     block size starts at 1 for every target and grows 4x after each block
-    without an accepted row, so it follows the rejection rate.
+    without an accepted row, so it follows the rejection rate.  Where no cell
+    or obstacle can reject a candidate, a one-row block is tested on Python
+    floats, whose elementwise operations and x, y, z sums from the left give
+    the array test's bits.
     """
     counts = cfg["explorer_target_counts"]
     min_sep = float(cfg.get("target_min_separation", sensing.R_c_outer))
@@ -86,6 +90,9 @@ def _sample_targets(cfg, obstacles, grid, bounds, sensing, rng):
         grid.is_free(grid.cell_of(lo)) and grid.is_free(grid.cell_of(lo + span))
     )
     accepted = np.empty((sum(counts), 3))
+    rows_only = not check_cells and obstacles.empty  # only the separation can reject
+    acc_rows = [None] * len(accepted)  # the accepted rows as float lists
+    lo_row, span_row = lo.tolist(), span.tolist()
 
     def passing(z, n_acc):
         """Indices of the candidate rows of z that pass every test, ascending."""
@@ -109,20 +116,35 @@ def _sample_targets(cfg, obstacles, grid, bounds, sensing, rng):
             rows = rows[ok]
         return rows
 
+    def far_enough(z, n_acc):
+        """The separation test of one candidate z, a float list."""
+        x, y, w = z
+        d = math.sqrt(
+            min([(x - a) * (x - a) + (y - b) * (y - b) + (w - c) * (w - c) for a, b, c in acc_rows[:n_acc]])
+        )
+        if abs(d - min_sep) <= 1e-9 * min_sep:
+            return min(np.linalg.norm(np.array(z) - a) for a in accepted[:n_acc]) >= min_sep
+        return d >= min_sep
+
     def draw_target(n_acc):
         """The next accepted candidate, or None after 2000 rejected ones."""
         left, k = 2000, 1
         while left:
             m = min(k, left)
-            saved = rng.bit_generator.state if m > 1 else None
-            z = lo + rng.random((m, 3)) * span
-            hits = passing(z, n_acc)
-            if len(hits):
-                hit = hits[0]
-                if hit + 1 < m:
-                    rng.bit_generator.state = saved
-                    rng.random((hit + 1, 3))
-                return z[hit].copy()
+            if m == 1 and rows_only:
+                z = [a + r * b for a, r, b in zip(lo_row, rng.random(3).tolist(), span_row)]
+                if not n_acc or far_enough(z, n_acc):
+                    return np.array(z)
+            else:
+                saved = rng.bit_generator.state if m > 1 else None
+                z = lo + rng.random((m, 3)) * span
+                hits = passing(z, n_acc)
+                if len(hits):
+                    hit = hits[0]
+                    if hit + 1 < m:
+                        rng.bit_generator.state = saved
+                        rng.random((hit + 1, 3))
+                    return z[hit].copy()
             left -= m
             k *= 4
         return None
@@ -139,6 +161,7 @@ def _sample_targets(cfg, obstacles, grid, bounds, sensing, rng):
                 if z is None:
                     break
                 accepted[n_acc] = z
+                acc_rows[n_acc] = z.tolist()
                 n_acc += 1
                 lst.append(z)
             if len(lst) < c:

@@ -211,7 +211,10 @@ class SmoothPath:
                 b = float(((self._samples[k] - q) ** 2).sum())
                 c = float(((self._samples[k + 1] - q) ** 2).sum())
             denom = a - 2.0 * b + c
-            off = 0.0 if denom <= 1e-18 else min(1.0, max(-1.0, 0.5 * (a - c) / denom))
+            # min(1.0, max(-1.0, off)), with its verdict on ties and NaN
+            off = 0.0 if denom <= 1e-18 else 0.5 * (a - c) / denom
+            off = off if off > -1.0 else -1.0
+            off = off if off < 1.0 else 1.0
             if off >= 0.0:
                 i0, w = k, off
             else:
@@ -248,18 +251,15 @@ class SmoothPath:
         the per-tick scalar queries."""
         return self._s.tolist(), self._tan.tolist(), self._curv.tolist(), self._samples.tolist()
 
-    def _locate(self, s: float):
-        """Table row i and weight w with s in [0, total_length] between rows i - 1 and i."""
-        s_rows = self._table[0]
-        i = min(max(bisect.bisect_left(s_rows, s), 1), len(s_rows) - 1)
-        s0 = s_rows[i - 1]
-        s1 = s_rows[i]
-        return i, 0.0 if s1 == s0 else (s - s0) / (s1 - s0)
-
-    def _tangent_curvature(self, i: int, w: float):
-        """(unit tangent, curvature vector) at weight w between rows i - 1 and i,
-        as 3-lists; the norm sums x, y, z from the left, as numpy sums a row."""
-        _, tan, curv, _ = self._table
+    def _tangent_curvature(self, s: float):
+        """(unit tangent, curvature vector) at s in [0, total_length], weighted
+        between the table rows i - 1 and i around s, as 3-lists; the norm sums
+        x, y, z from the left, as numpy sums a row."""
+        s_rows, tan, curv, _ = self._table
+        i = bisect.bisect_left(s_rows, s)
+        i = 1 if i < 1 else len(s_rows) - 1 if i > len(s_rows) - 1 else i
+        s0, s1 = s_rows[i - 1], s_rows[i]
+        w = 0.0 if s1 == s0 else (s - s0) / (s1 - s0)
         u = 1.0 - w
         a, b = tan[i - 1], tan[i]
         t = [u * a[0] + w * b[0], u * a[1] + w * b[1], u * a[2] + w * b[2]]
@@ -297,7 +297,7 @@ def path_kinematics(path: SmoothPath, s: float, v_cruise: float, taper_len: floa
     if path.degenerate:
         return [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
     s = min(max(s, 0.0), path.total_length)
-    tan, curv = path._tangent_curvature(*path._locate(s))
+    tan, curv = path._tangent_curvature(s)
     remaining = path.total_length - s
     f, dfds = taper_factor(remaining, taper_len)
     speed = v_cruise * f
@@ -305,5 +305,9 @@ def path_kinematics(path: SmoothPath, s: float, v_cruise: float, taper_len: floa
     tangential = v_cruise * dfds * speed
     return (
         [speed * tan[0], speed * tan[1], speed * tan[2]],
-        [centripetal * c + tangential * t for c, t in zip(curv, tan)],
+        [
+            centripetal * curv[0] + tangential * tan[0],
+            centripetal * curv[1] + tangential * tan[1],
+            centripetal * curv[2] + tangential * tan[2],
+        ],
     )

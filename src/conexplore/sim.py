@@ -101,39 +101,46 @@ class PairwiseMinimum:
 
     def update(self, q, traveled, step):
         """Take the positions q after a tick whose step lengths were step,
-        with traveled the running sum of them."""
+        with traveled the running sum of them; all three are flat float lists."""
         if not len(self._iu[0]):
             return
         self._ticks += 1
-        self._skin += float(np.maximum.reduce(step)) + self.TICK_MARGIN
+        self._skin += max(step) + self.TICK_MARGIN
         ref = self._ref
         if ref is not None and ref[0][0] - 2.0 * self._skin - self.MARGIN >= self.value:
             return  # no pair can come below the minimum
         if ref is None or 2.0 * self._skin > self.SKIN:
             self._renew(q, traveled)
             return
-        delta = (traveled - self._ref_traveled).tolist()
+        ref_traveled = self._ref_traveled
         pad = 2.0 * self._ticks * self.TICK_MARGIN + self.MARGIN
-        rows = None
         for d_ref, i, j in ref:
             if d_ref - 2.0 * self._skin - self.MARGIN >= self.value:
                 break  # nor can any later pair, which starts farther apart
-            if d_ref - delta[i] - delta[j] - pad < self.value:
-                if rows is None:
-                    rows = q.tolist()
-                a, b = rows[i], rows[j]
-                x, y, z = a[0] - b[0], a[1] - b[1], a[2] - b[2]
+            if d_ref - (traveled[i] - ref_traveled[i]) - (traveled[j] - ref_traveled[j]) - pad < self.value:
+                a, b = 3 * i, 3 * j
+                x, y, z = q[a] - q[b], q[a + 1] - q[b + 1], q[a + 2] - q[b + 2]
                 self.value = min(self.value, math.sqrt(x * x + y * y + z * z))
+
+    def _squares(self, q):
+        """Squared distance of every pair at q, an (N, 3) array or a flat list."""
+        q = np.reshape(q, (-1, 3))
+        i, j = self._iu
+        diff = q[i] - q[j]
+        return (diff * diff).sum(axis=1)
+
+    def all_pairs(self, q) -> float:
+        """Smallest inter-robot distance at q, over every pair; inf for one robot."""
+        return float(np.sqrt(self._squares(q).min())) if len(self._iu[0]) else math.inf
 
     def _renew(self, q, traveled):
         """All-pairs check at q, which becomes the reference."""
-        i, j = self._iu
-        diff = q[i] - q[j]
-        d2 = (diff * diff).sum(axis=1)
+        d2 = self._squares(q)
         self.value = min(self.value, float(np.sqrt(d2.min())))
         order = d2.argsort()
+        i, j = self._iu
         self._ref = list(zip(np.sqrt(d2[order]).tolist(), i[order].tolist(), j[order].tolist()))
-        self._ref_traveled = traveled.copy()
+        self._ref_traveled = traveled
         self._skin = 0.0
         self._ticks = 0
 
@@ -183,8 +190,7 @@ class Simulation:
         self._primeless_streak = 0
         self._path_dumps = []
         self._conn_rows = []
-        self._iu = np.triu_indices(self.n, 1)
-        self._frame_cache = {}
+        self._frames = {}  # the path frame each traveler tracks, refreshed at 250 Hz
         self._laws = None  # the control plan, renewed after each message round
         self._filter = ReferenceFilter(initial_position=self.q) if use_filter else None
 
@@ -242,8 +248,13 @@ class Simulation:
         n = self.n
         dt = self.dt
         body = self.body
-        traveled = np.zeros(n)
+        # the team's state stays flat float lists between field ticks; self.q
+        # (and self.v) are ndarrays only where numpy or a reader takes them
+        q = self.q.ravel().tolist()
+        v = self.v.ravel().tolist()
+        traveled = [0.0] * n
         explorer = np.array([a.is_explorer for a in self.agents])
+        explorers = [i for i, a in enumerate(self.agents) if a.is_explorer]
 
         lam2_sum = 0.0
         lam2_n = 0
@@ -257,7 +268,7 @@ class Simulation:
 
         field_state = None
         adj = None
-        f_lambda = np.zeros((n, 3))
+        f_lambda = [0.0] * (3 * n)
         prev_grad = None
 
         if self._all_done():
@@ -266,9 +277,9 @@ class Simulation:
             field_state = evaluate_field(self.q, self.obstacles, self.sensing, self.conn)
             lam2_sum, lam2_n = field_state.lambda2, 1
             min_lam2 = field_state.lambda2
-            pairwise.value = self._min_pairwise()
+            pairwise.value = pairwise.all_pairs(self.q)
             min_clear = float(field_state.clearances.min())
-            max_stretch = self._stretch(explorer)
+            max_stretch = self._stretch(q, explorers)
 
         tick = 0
         max_ticks = int(round(self.timeout / dt))
@@ -276,11 +287,12 @@ class Simulation:
         try:
             while not completed and tick < max_ticks:
                 if tick % self.FIELD_EVERY == 0:
+                    self.q = np.array(q).reshape(n, 3)
                     field_state = evaluate_field(
                         self.q, self.obstacles, self.sensing, self.conn, prev_grad
                     )
                     prev_grad = field_state.grad
-                    f_lambda = field_state.forces
+                    f_lambda = field_state.forces.ravel().tolist()
                     # consensus couples robots with nonzero edge weight; the
                     # full neighbor test runs only at message rounds
                     self._set_consensus_graph((field_state.W > 0.0).astype(float))
@@ -290,7 +302,7 @@ class Simulation:
                     # the field's clearances are the robots' own, at this q
                     clear = float(field_state.clearances.min())
                     min_clear = min(min_clear, clear)
-                    max_stretch = max(max_stretch, self._stretch(explorer))
+                    max_stretch = max(max_stretch, self._stretch(q, explorers))
                     if field_state.degenerate:
                         self.mon.degenerate_ticks += 1
                     if self.trace_dir:
@@ -299,12 +311,12 @@ class Simulation:
                                 self.t,
                                 field_state.lambda2,
                                 int((field_state.W > 0).sum() // 2),
-                                self._min_pairwise(),
+                                pairwise.all_pairs(self.q),
                                 clear,
                             )
                         )
 
-                if tick % self.PLAN_EVERY == 0:
+                if tick % self.PLAN_EVERY == 0:  # a field tick too, so self.q is current
                     adj = adjacency(self.q, self.obstacles, self.sensing)
                     self._plan_round(adj)
                     if self._all_done():
@@ -312,23 +324,25 @@ class Simulation:
                         completion_time = self.t
                         break
 
-                f_total = self._control_forces(f_lambda, tick) + f_lambda
-                self.q, self.v = integrate_step(self.q, self.v, f_total, body, dt)
-                dq = dt * self.v  # the position step just taken
-                step = np.sqrt(np.add.reduce(dq * dq, axis=1))
-                traveled += step
-                pairwise.update(self.q, traveled, step)
+                forces = self._control_forces(q, v, f_lambda, tick)
+                q, v, step = integrate_step(q, v, [a + b for a, b in zip(forces, f_lambda)], body, dt)
+                traveled = [a + b for a, b in zip(traveled, step)]
+                pairwise.update(q, traveled, step)
                 for ag in self.agents:
                     if ag.role == ANCHOR:
                         ag.dwell_elapsed += dt
                 self.t += dt
                 tick += 1
                 if writer is not None:
+                    self.q = np.array(q).reshape(n, 3)
+                    self.v = np.array(v).reshape(n, 3)
                     self._trace_tick()
         except (ConnectivityViolation, AnchorViolation, SimulationFault) as exc:
             fault = f"{type(exc).__name__}: {exc}"
             self._log_event(-1, "fault", fault)
         finally:
+            self.q = np.array(q).reshape(n, 3)
+            self.v = np.array(v).reshape(n, 3)
             if writer is not None:
                 self._close_robot_trace()
 
@@ -339,7 +353,7 @@ class Simulation:
             completed=completed,
             completion_time=completion_time if completed else self.timeout,
             fault=fault,
-            traveled=traveled,
+            traveled=np.array(traveled),
             explorer_mask=explorer,
             max_stretch=float(max_stretch),
             mean_lambda2=float(lam2_sum / max(1, lam2_n)),
@@ -405,9 +419,11 @@ class Simulation:
                 plan.append((i, ag, role, ag.path))
         return plan
 
-    def _control_forces(self, f_lambda, tick=0):
-        """Per-robot control forces for one tick; advances the consensus on
-        the prime's traveling efficiency and pins the prime's own estimate.
+    def _control_forces(self, q_flat, v_flat, f_lam, tick=0):
+        """Per-robot control forces for one tick as a flat list, from the
+        team's positions, velocities and connectivity forces, also flat lists;
+        advances the consensus on the prime's traveling efficiency and pins
+        the prime's own estimate.
 
         The laws run on Python floats and take their dot products from
         row_dots, one np.vecdot call for the whole team: |f|^2 of every raw
@@ -419,14 +435,17 @@ class Simulation:
         bp = self.bp
         if self._laws is None:
             self._laws = self._control_plan()
+            self._frames = {}
         lam = consensus_step(self.lam_hat, self._adj_f, self._adj_deg, bp.k_consensus, self.dt)
-        q_rows = self.q.tolist()
-        v_rows = self.v.tolist()
-        f_lam = f_lambda.tolist()
+        # refresh the tracked path frames at 250 Hz and hold them in between;
+        # the control laws still use the current q and v every tick
+        refresh = tick % 4 == 0
+        frames = self._frames
         jobs = []  # (i, law, q - z or the raw travel force) in plan order
         xs, ys = [], []  # flat 3-rows whose dot products the laws take, in job order
         for i, ag, law, target in self._laws:
-            q = q_rows[i]
+            k = 3 * i
+            q = q_flat[k : k + 3]
             if law == ANCHOR:
                 d = [q[0] - target[0], q[1] - target[1], q[2] - target[2]]
                 jobs.append((i, law, d))
@@ -435,14 +454,11 @@ class Simulation:
                 if ag.role == PRIME:
                     lam[i] = 1.0  # hosting at the target: report full efficiency
                 continue
-            # refresh the tracked path frame at 250 Hz and hold it in between;
-            # the control laws still use the current q and v every tick
-            cache = self._frame_cache.get(i)
-            if cache is None or cache[0] is not target or tick % 4 == 0:
+            frame = frames.get(i)
+            if refresh or frame is None:
                 p, ag.s_track, v_g, a_g = target.track_frame(q, ag.s_track, 0.25, bp.v_cruise, bp.R_z)
-                cache = self._frame_cache[i] = (target, (p, v_g, a_g))
-            frame = cache[1]
-            dv, dq = tracking_errors(q, v_rows[i], frame)
+                frame = frames[i] = (p, v_g, a_g)
+            dv, dq = tracking_errors(q, v_flat[k : k + 3], frame)
             f = travel_force(dv, dq, frame[2], bp)
             jobs.append((i, law, f))
             if law == PRIME:
@@ -450,56 +466,55 @@ class Simulation:
                 xs += e
                 ys += e
             else:
-                x = f_lam[i]
+                x = f_lam[k : k + 3]
                 xs += f + x + x
                 ys += f + x + f
-        dots = iter(row_dots(xs, ys) if xs else ())
+        dots = row_dots(xs, ys) if xs else ()
         forces = [0.0] * (3 * self.n)
-        aligned = []  # (i, saturated travel force, x.x, ft.ft, x.ft) of each secondary
+        f_max = self.body.f_max
         scaled = []  # (i, saturated travel force, x.x) of a secondary whose force was scaled
+        m = 0  # the job's first row in dots
         for i, law, f in jobs:
+            k = 3 * i
             if law == ANCHOR:
-                forces[3 * i : 3 * i + 3] = anchor_force(f, next(dots), bp.R_z, bp.k_z)
+                forces[k : k + 3] = anchor_force(f, dots[m], bp.R_z, bp.k_z)
+                m += 1
                 continue
-            ff = next(dots)
-            ft = saturate(f, ff, self.body.f_max)
+            ft = saturate(f, dots[m], f_max)
             if law == PRIME:
-                lam[i] = traveling_efficiency(next(dots), next(dots), bp)
-                forces[3 * i : 3 * i + 3] = ft
-                continue
-            xx, xf = next(dots), next(dots)
-            if ft is f:
-                aligned.append((i, ft, xx, ff, xf))
+                lam[i] = traveling_efficiency(dots[m + 1], dots[m + 2], bp)
+                forces[k : k + 3] = ft
+            elif ft is f:
+                gain = adaptive_gain(direction_alignment(dots[m + 1], dots[m], dots[m + 2]), lam[i], bp.sigma)
+                forces[k : k + 3] = [gain * f[0], gain * f[1], gain * f[2]]
             else:
-                scaled.append((i, ft, xx))
+                scaled.append((i, ft, dots[m + 1]))
+            m += 3
         if scaled:
             xs, ys = [], []
             for i, ft, _ in scaled:
-                xs += ft + f_lam[i]
+                xs += ft + f_lam[3 * i : 3 * i + 3]
                 ys += ft + ft
-            dots = iter(row_dots(xs, ys))
-            aligned += [(i, ft, xx, next(dots), next(dots)) for i, ft, xx in scaled]
-        for i, ft, xx, yy, xy in aligned:
-            gain = adaptive_gain(direction_alignment(xx, yy, xy), lam[i], bp.sigma)
-            forces[3 * i : 3 * i + 3] = [gain * ft[0], gain * ft[1], gain * ft[2]]
+            dots = row_dots(xs, ys)
+            for m, (i, ft, xx) in enumerate(scaled):
+                gain = adaptive_gain(direction_alignment(xx, dots[2 * m], dots[2 * m + 1]), lam[i], bp.sigma)
+                forces[3 * i : 3 * i + 3] = [gain * ft[0], gain * ft[1], gain * ft[2]]
         self.lam_hat = lam
-        return np.array(forces).reshape(self.n, 3)
+        return forces
 
     # -- monitors ----------------------------------------------------------------
 
-    def _min_pairwise(self) -> float:
-        """Smallest inter-robot distance at the current q, over every pair."""
-        if self.n < 2:
-            return np.inf
-        diff = self.q[self._iu[0]] - self.q[self._iu[1]]
-        return float(np.sqrt((diff * diff).sum(axis=1).min()))
-
-    def _stretch(self, explorer_mask) -> float:
-        qs = self.q[explorer_mask]
-        if len(qs) < 2:
-            return 0.0
-        diff = qs[:, None, :] - qs[None, :, :]
-        return float(np.sqrt((diff * diff).sum(axis=2)).max())
+    @staticmethod
+    def _stretch(q, explorers) -> float:
+        """Largest distance between two explorers at q, a flat list; 0 for
+        fewer than two.  Squares sum x, y, z from the left, as numpy sums a row."""
+        rows = [q[3 * i : 3 * i + 3] for i in explorers]
+        d2 = [
+            (a[0] - b[0]) * (a[0] - b[0]) + (a[1] - b[1]) * (a[1] - b[1]) + (a[2] - b[2]) * (a[2] - b[2])
+            for k, a in enumerate(rows)
+            for b in rows[:k]
+        ]
+        return math.sqrt(max(d2)) if d2 else 0.0
 
     def _all_done(self) -> bool:
         for a in self.agents:

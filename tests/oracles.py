@@ -3,9 +3,10 @@
 The spline a `SmoothPath` table samples, queried by a bounded scalar search
 instead of the table; the segment-obstacle kernel over every (segment,
 point) pair in (P, M, 3) arrays, and the clearance of one segment through
-it; the length of a grid path, summed step by step; the control laws and
-the path kinematics on numpy vectors, as the simulator ran them before its
-float port.
+it; the length of a grid path, summed step by step; the control laws,
+the path kinematics, the integration step and the explorers' stretch on
+numpy arrays, as the simulator ran them before its float port; the target sampler that tested
+every block of candidates as arrays.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 
 from conexplore.behavior import AnchorViolation, ramp
+from conexplore.dynamics import SimulationFault
+from conexplore.harness import ScenarioError
 from conexplore.planner import taper_factor
 from conexplore.world import INF
 
@@ -99,6 +102,28 @@ def anchor_force(q, z, R_z: float, k_z: float):
     return -k_z * np.tan(ell * np.pi / (2.0 * R_z)) * d / ell
 
 
+def integrate_step(q, v, f, bp, dt: float):
+    """Semi-implicit Euler step of the (N, 3) arrays q and v under the total
+    force f; returns (q, v, step), step being each robot's step length."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    f = np.asarray(f, dtype=float)
+    if not math.isfinite(np.add.reduce(f, axis=None)):
+        raise SimulationFault("non-finite force input")
+    v_new = (v + (dt / bp.mass) * f) / (1.0 + dt * bp.damping / bp.mass)
+    dq = dt * v_new
+    return q + dq, v_new, np.sqrt(np.add.reduce(dq * dq, axis=1))
+
+
+def stretch(q, explorer_mask) -> float:
+    """Largest distance between two of the masked rows of the (N, 3) array q."""
+    qs = q[explorer_mask]
+    if len(qs) < 2:
+        return 0.0
+    diff = qs[:, None, :] - qs[None, :, :]
+    return float(np.sqrt((diff * diff).sum(axis=2)).max())
+
+
 def path_kinematics(path, s: float, v_cruise: float, taper_len: float = 0.0):
     """Velocity and acceleration of a virtual point at arc length s, from the
     path's table arrays."""
@@ -171,3 +196,104 @@ class SplineQuery:
         # the bounded search can stall a hair inside its bracket
         u_best = min((float(u_best), lo, hi), key=dist2)
         return np.asarray(self.spline(u_best)), float(np.interp(u_best, self.u, path._s))
+
+
+# -- the target sampler on arrays ----------------------------------------------
+
+
+def block_sample_targets(cfg, obstacles, grid, bounds, sensing, rng):
+    """harness._sample_targets as it tested every block of candidates as
+    arrays, before one-row blocks on an empty world were tested on floats.
+
+    Rejection-sample one target list per explorer.
+
+    A sample is accepted when it lies in the target region, its grid cell is
+    free, it keeps R_o_outer clearance from obstacles, and it stays at least
+    target_min_separation (default R_c_outer) away from every previously
+    accepted target.
+
+    Candidates are drawn and tested in blocks, yet the result is that of
+    testing one `rng.random(3)` draw at a time: `Generator.random` fills a
+    (k, 3) block row by row, so row r is the r-th single draw, and once a row
+    is accepted the stream is rewound and advanced past that row only.  The
+    block size starts at 1 for every target and grows 4x after each block
+    without an accepted row, so it follows the rejection rate.
+    """
+    counts = cfg["explorer_target_counts"]
+    min_sep = float(cfg.get("target_min_separation", sensing.R_c_outer))
+    min_sep = max(min_sep, sensing.R_c_outer)
+    region = cfg.get("target_region")
+    if region is None:
+        lo = np.asarray(bounds[0], dtype=float) + 1.0
+        hi = np.asarray(bounds[1], dtype=float) - 1.0
+    else:
+        lo = np.asarray(region["min"], dtype=float)
+        hi = np.asarray(region["max"], dtype=float)
+    span = hi - lo
+    # every candidate lies in [lo, lo + span], and cell_of is monotone, so an
+    # unoccupied grid whose cells cover both corners can reject none of them
+    check_cells = bool(grid.occupied.any()) or not (
+        grid.is_free(grid.cell_of(lo)) and grid.is_free(grid.cell_of(lo + span))
+    )
+    accepted = np.empty((sum(counts), 3))
+
+    def passing(z, n_acc):
+        """Indices of the candidate rows of z that pass every test, ascending."""
+        rows = np.arange(len(z))
+        if check_cells:
+            cells = np.floor((z - grid.origin) / grid.cell_size).astype(np.intp)
+            rows = rows[((cells >= 0) & (cells < grid.dims)).all(axis=1)]
+            rows = rows[~grid.occupied[tuple(cells[rows].T)]]
+        if not obstacles.empty:
+            rows = rows[obstacles.clearances(z[rows]) >= sensing.R_o_outer]
+        if n_acc and len(rows):
+            zr = z[rows] if len(rows) < len(z) else z
+            gap = zr[:, None, :] - accepted[None, :n_acc, :]
+            d = np.sqrt((gap * gap).sum(axis=2).min(axis=1))
+            ok = d >= min_sep
+            # rows within rounding of min_sep take the scalar test's verdict
+            near = np.abs(d - min_sep) <= 1e-9 * min_sep
+            if near.any():
+                for j in np.flatnonzero(near):
+                    ok[j] = min(np.linalg.norm(zr[j] - a) for a in accepted[:n_acc]) >= min_sep
+            rows = rows[ok]
+        return rows
+
+    def draw_target(n_acc):
+        """The next accepted candidate, or None after 2000 rejected ones."""
+        left, k = 2000, 1
+        while left:
+            m = min(k, left)
+            saved = rng.bit_generator.state if m > 1 else None
+            z = lo + rng.random((m, 3)) * span
+            hits = passing(z, n_acc)
+            if len(hits):
+                hit = hits[0]
+                if hit + 1 < m:
+                    rng.bit_generator.state = saved
+                    rng.random((hit + 1, 3))
+                return z[hit].copy()
+            left -= m
+            k *= 4
+        return None
+
+    # sequential rejection can corner itself near the packing limit, so a
+    # failed set is discarded and resampled from the same stream
+    for _restart in range(50):
+        n_acc = 0
+        per_robot = []
+        for c in counts:
+            lst = []
+            for _ in range(c):
+                z = draw_target(n_acc)
+                if z is None:
+                    break
+                accepted[n_acc] = z
+                n_acc += 1
+                lst.append(z)
+            if len(lst) < c:
+                break
+            per_robot.append(lst)
+        else:
+            return per_robot
+    raise ScenarioError("target sampling failed: region too constrained")

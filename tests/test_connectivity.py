@@ -12,8 +12,8 @@ from conexplore.connectivity import (
     fiedler,
     lambda2_gradient,
     laplacian,
-    ramp_down,
-    ramp_up,
+    ramp_down_pair,
+    ramp_up_pair,
 )
 from conexplore.world import ObstacleSet, SensingParams
 
@@ -36,13 +36,13 @@ def spread_positions(rng, n, scale=4.0):
 
 class TestRamps:
     def test_plateaus(self):
-        assert ramp_down(1.0, 2.5, 6.0) == 1.0
-        assert ramp_down(6.0, 2.5, 6.0) == 0.0
-        assert ramp_up(0.5, 1.0, 2.5) == 0.0
-        assert ramp_up(3.0, 1.0, 2.5) == 1.0
+        assert ramp_down_pair(1.0, 2.5, 6.0)[0] == 1.0
+        assert ramp_down_pair(6.0, 2.5, 6.0)[0] == 0.0
+        assert ramp_up_pair(0.5, 1.0, 2.5)[0] == 0.0
+        assert ramp_up_pair(3.0, 1.0, 2.5)[0] == 1.0
 
     def test_midpoint(self):
-        assert ramp_down(4.25, 2.5, 6.0) == pytest.approx(0.5)
+        assert ramp_down_pair(4.25, 2.5, 6.0)[0] == pytest.approx(0.5)
 
 
 class TestEdgeWeight:

@@ -28,8 +28,9 @@ from conexplore.behavior import (
     traveling_efficiency,
 )
 from conexplore.connectivity import fiedler, laplacian
-from conexplore.dynamics import saturate
+from conexplore.dynamics import BodyParams, SimulationFault, integrate_step, saturate
 from conexplore.planner import SmoothPath, path_kinematics
+from conexplore.sim import Simulation
 from conexplore.world import ObstacleSet, sample_box, segment_gaps, segment_rows
 
 # a row is one per-robot vector of a tick: these scales cover zeros, tiny and
@@ -148,6 +149,41 @@ def test_premise_component_segment_kernel_equals_dense():
     assert not bad, (
         f"premise broken: the component-form segment kernel differs from the (P, M, 3) one on {bad} of 100"
     )
+
+
+def test_premise_step_length_sums_from_the_left():
+    # integrate_step takes a robot's step length as sqrt(x*x + y*y + z*z) of
+    # dq = dt * v: numpy's row sum of dq * dq is ((0 + x²) + y²) + z², and a
+    # square is never -0.0, so the leading 0 drops out
+    rng = np.random.default_rng(27)
+    bad = 0
+    for n in range(1, 13):
+        for _ in range(200):
+            dq = 1e-3 * random_rows(rng, n)
+            got = [math.sqrt(x * x + y * y + z * z) for x, y, z in dq.tolist()]
+            bad += not same_bits(got, np.sqrt(np.add.reduce(dq * dq, axis=1)))
+    assert not bad, f"premise broken: a team's step lengths differ from numpy's row sums on {bad} of 2400"
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def test_premise_force_check_gives_numpys_verdict():
+    # finite forces whose sum overflows: left to right the sum is finite,
+    # numpy's eight-way partial sums overflow (f[0] + f[8]), and the numpy law
+    # faulted; so checking each force, or a plain float sum, would not do
+    f = np.zeros((6, 3))
+    f.flat[0], f.flat[1], f.flat[8] = 1e308, -1e308, 1e308
+    plain = 0.0
+    for x in f.ravel().tolist():
+        plain += x
+    assert np.isfinite(f).all() and math.isfinite(plain)
+    assert not math.isfinite(np.add.reduce(f, axis=None)), (
+        "premise broken: numpy's sum over an (N, 3) force block no longer overflows where this test expects"
+    )
+    zeros = [0.0] * 18
+    with pytest.raises(SimulationFault):
+        oracles.integrate_step(np.zeros((6, 3)), np.zeros((6, 3)), f, BodyParams(), 1e-3)
+    with pytest.raises(SimulationFault):
+        integrate_step(zeros, zeros, f.ravel().tolist(), BodyParams(), 1e-3)
 
 
 # -- the float laws against the numpy laws they replaced --------------------------
@@ -272,6 +308,52 @@ def test_float_alignment_equals_numpy(x, y):
     assert direction_alignment(*row_dots(x + y + x, x + y + y)) == oracles.direction_alignment(x, y)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def test_float_integration_equals_numpy_law():
+    # teams of 1 to 12 robots, over 10^4 rows: forces at every scale, exact
+    # zeros, +-f_max, subnormals and 1e308, and non-finite ones, which must
+    # fault as the numpy law does
+    rng = np.random.default_rng(28)
+    body = BodyParams(mass=1.3, damping=4.0, f_max=F_MAX)
+    edges = np.array([0.0, -0.0, F_MAX, -F_MAX, 5e-324, -5e-324, 1e-310, 1e308, -1e308, np.nan, np.inf, -np.inf])
+    rows = bad = faults = moved = 0
+    while rows < N_ROWS:
+        n = int(rng.integers(1, 13))
+        q = rng.random((n, 3)) * [15, 20, 3]
+        v = rng.normal(size=(n, 3)) * rng.choice([0.0, 1e-3, 1.0])
+        f = random_rows(rng, n) * rng.choice([1.0, 1e-3, 1e155])
+        pick = rng.random((n, 3)) < rng.choice([0.0, 0.02, 0.2])
+        f[pick] = rng.choice(edges, size=pick.sum())
+        rows += n
+        args = (q.ravel().tolist(), v.ravel().tolist(), f.ravel().tolist(), body, 1e-3)
+        try:
+            expect = oracles.integrate_step(q, v, f, body, 1e-3)
+        except SimulationFault:
+            faults += 1
+            with pytest.raises(SimulationFault):
+                integrate_step(*args)
+            continue
+        got = integrate_step(*args)
+        bad += not all(same_bits(a, b) for a, b in zip(got, expect))
+        moved += bool(np.any(expect[2]))
+    assert not bad, f"{bad} integration steps differ from the numpy law"
+    assert faults and moved, (faults, moved)
+
+
+def test_float_stretch_equals_numpy():
+    # every team size and explorer subset, with coincident explorers
+    rng = np.random.default_rng(29)
+    bad = 0
+    for _ in range(2000):
+        n = int(rng.integers(1, 13))
+        q = rng.random((n, 3)) * rng.choice([1e-3, 1.0, 20.0])
+        q[rng.random(n) < 0.1] = q[0]
+        mask = rng.random(n) < 0.7
+        got = Simulation._stretch(q.ravel().tolist(), np.flatnonzero(mask).tolist())
+        bad += got.hex() != oracles.stretch(q, mask).hex()
+    assert not bad, f"{bad} stretches differ from the numpy law"
+
+
 def test_consensus_step_equals_numpy_law():
     # adj.dot, the cached row sums and the float clamp give the bits of the
     # array law with adj @ lam, fresh row sums and np.clip
@@ -283,6 +365,12 @@ def test_consensus_step_equals_numpy_law():
         expect = lam + 1.0 * 1e-3 * (adj @ lam - adj.sum(axis=1) * lam)
         np.clip(expect, 0.0, 1.0, out=expect)
         assert same_bits(consensus_step(lam, adj, adj.sum(axis=1), 1.0, 1e-3), expect)
+    # the clamp's edges: 0 and 1 hold, and estimates past either end stop there
+    lam = np.array([0.0, 1.0, -1e-3, 1.0 + 1e-3, 0.5, 1.0 - 1e-18])
+    adj = np.zeros((len(lam), len(lam)))
+    adj[4, 5] = adj[5, 4] = 1.0
+    expect = np.clip(lam + 1e-3 * (adj @ lam - adj.sum(axis=1) * lam), 0.0, 1.0)
+    assert same_bits(consensus_step(lam.tolist(), adj, adj.sum(axis=1).tolist(), 1.0, 1e-3), expect)
 
 
 def test_fiedler_on_dsyevd_equals_eigh():

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from conexplore import cli, harness
 from conexplore.world import ObstacleSet, SensingParams, rasterize
 
@@ -152,6 +153,40 @@ class TestSampleTargets:
         oracle, blocks = self.both(cfg, obstacles, grid, self.TIGHT_BOUNDS, self.TIGHT_SENSING, seed)
         assert blocks == oracle
         assert len(candidates) > 2000  # some target used up its 2000 candidates
+
+    @staticmethod
+    def block_and_float(cfg, obstacles, grid, bounds, sensing, seeds):
+        """Seeds on which the sampler and the array block sampler give other
+        targets or leave the generator in another state."""
+        differ = []
+        for seed in seeds:
+            out = []
+            for sampler in (oracles.block_sample_targets, harness._sample_targets):
+                rng = np.random.default_rng(seed)
+                targets = sampler(cfg, obstacles, grid, bounds, sensing, rng)
+                out.append(([np.stack(t).tobytes() for t in targets], rng.bit_generator.state))
+            if out[0] != out[1]:
+                differ.append(seed)
+        return differ
+
+    @pytest.mark.parametrize("path, seeds", [(EMPTY_SCENARIO, range(200)), ("scenarios/walled_15x20.json", range(3))])
+    def test_matches_block_sampler(self, path, seeds):
+        # one-row blocks on the empty world are tested on floats, with the
+        # targets and the generator state of the array test
+        cfg = json.loads(Path(path).read_text())
+        sc = harness.load_scenario(path, seed=0, connectors=0)
+        assert not self.block_and_float(cfg, sc.obstacles, sc.grid, sc.bounds, sc.sensing, seeds)
+
+    def test_matches_block_sampler_through_restarts(self):
+        # the tight square without its obstacle: only the separation rejects,
+        # so floats test the one-row blocks and arrays the larger ones
+        grid = rasterize(ObstacleSet(), self.TIGHT_BOUNDS, 0.5)
+        cfg = {
+            "explorer_target_counts": [3, 2, 2],
+            "target_region": {"min": [0.5, 0.5, 1.0], "max": [4.0, 4.0, 1.0]},
+        }
+        args = (cfg, ObstacleSet(), grid, self.TIGHT_BOUNDS, self.TIGHT_SENSING)
+        assert not self.block_and_float(*args, range(20))
 
     def test_impossible_region_raises(self):
         cfg = {
