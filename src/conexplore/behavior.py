@@ -71,8 +71,8 @@ def row_dots(a, b):
     One batched np.vecdot call: numpy takes each row's dot product with the
     same BLAS ddot that ndarray.dot uses on a pair of 3-vectors, so every
     value has the bits of that row's own .dot.  A plain left-to-right float
-    sum does not: ddot fuses multiply-adds.  struct packs the floats as C
-    doubles, the same values, in half the time np.array takes to read a list.
+    sum does not: ddot fuses multiply-adds.  struct reads the lists in half
+    the time np.array takes.
     """
     ab = np.frombuffer(struct.pack(f"{len(a) + len(b)}d", *a, *b)).reshape(2, -1, 3)
     return np.vecdot(ab[0], ab[1]).tolist()
@@ -133,14 +133,13 @@ def consensus_step(lam, adj, deg, k: float, dt: float):
     which the caller keeps while adj stays the same; returns the estimates,
     clamped to [0, 1], as a list.  adj.dot gives the bits of adj @ lam at
     half its cost; the rest is elementwise, so floats give the array law's
-    bits.  The clamp takes y unless it lies strictly outside [0, 1], so it
-    keeps -0.0 and NaN as np.clip does (and as min(max(y, 0.0), 1.0) would).
+    bits.  The clamp keeps y unless it lies outside [0, 1], so -0.0 and NaN
+    pass as under np.clip (and min(max(y, 0.0), 1.0)).
     """
     flow = adj.dot(lam).tolist()
     kdt = k * dt
     return [
-        0.0 if (y := x + kdt * (f - d * x)) < 0.0 else 1.0 if y > 1.0 else y
-        for x, f, d in zip(lam, flow, deg)
+        0.0 if (y := x + kdt * (f - d * x)) < 0.0 else 1.0 if y > 1.0 else y for x, f, d in zip(lam, flow, deg)
     ]
 
 

@@ -31,33 +31,30 @@ def saturate(f, ff: float, f_max: float):
 
 
 def integrate_step(q, v, f, bp: BodyParams, dt: float):
-    """Semi-implicit Euler step of m v' = f - b v over the total force f.
+    """Semi-implicit Euler step of m v' = f - b v over the total force f, on
+    [x, y, z] float rows, one per robot; returns (q, v, step lengths |dt v|).
 
-    q, v and f are flat float lists, x, y, z per robot.  Damping is treated
-    implicitly for unconditional stability; position is advanced with the
-    updated velocity.  Returns (q, v, step), step being each robot's step
-    length |dt v| as a list.
-
-    Every operation is elementwise, so the floats give the bits of the same
-    law on (N, 3) arrays, and the step length sums x, y, z from the left as
-    numpy sums a row.  A sum of |f| under 1e300 cannot overflow in any order,
-    so the force check gives the verdict of isfinite(np.add.reduce(f)) on the
-    (N, 3) forces; any other sum is left to numpy.
+    Damping is implicit for unconditional stability; position advances with
+    the updated velocity.  The operations are elementwise and the step length
+    sums x, y, z from the left, so the floats give the (N, 3) array law's
+    bits.  A sum of |f| under 1e300 cannot overflow in any order, and any
+    other is summed by numpy: the verdict of isfinite(np.add.reduce(f)).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if not sum(map(abs, f)) < 1e300 and not math.isfinite(np.add.reduce(np.reshape(f, (-1, 3)), axis=None)):
-        raise SimulationFault("non-finite force input")
     c = dt / bp.mass
     den = 1.0 + dt * bp.damping / bp.mass
     q_new, v_new, step = [], [], []
-    qi, vi, fi = iter(q), iter(v), iter(f)
-    for x, y, z, vx, vy, vz, fx, fy, fz in zip(qi, qi, qi, vi, vi, vi, fi, fi, fi):
+    size = 0.0  # the sum of |f|
+    for (x, y, z), (vx, vy, vz), (fx, fy, fz) in zip(q, v, f):
+        size += abs(fx) + abs(fy) + abs(fz)
         vx, vy, vz = (vx + c * fx) / den, (vy + c * fy) / den, (vz + c * fz) / den
         dx, dy, dz = dt * vx, dt * vy, dt * vz
-        q_new += (x + dx, y + dy, z + dz)
-        v_new += (vx, vy, vz)
+        q_new.append([x + dx, y + dy, z + dz])
+        v_new.append([vx, vy, vz])
         step.append(math.sqrt(dx * dx + dy * dy + dz * dz))
+    if not size < 1e300 and not math.isfinite(np.add.reduce(np.array(f, dtype=float), axis=None)):
+        raise SimulationFault("non-finite force input")
     return q_new, v_new, step
 
 

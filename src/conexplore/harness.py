@@ -68,10 +68,7 @@ def _sample_targets(cfg, obstacles, grid, bounds, sensing, rng):
     (k, 3) block row by row, so row r is the r-th single draw, and once a row
     is accepted the stream is rewound and advanced past that row only.  The
     block size starts at 1 for every target and grows 4x after each block
-    without an accepted row, so it follows the rejection rate.  Where no cell
-    or obstacle can reject a candidate, a one-row block is tested on Python
-    floats, whose elementwise operations and x, y, z sums from the left give
-    the array test's bits.
+    without an accepted row, so it follows the rejection rate.
     """
     counts = cfg["explorer_target_counts"]
     min_sep = float(cfg.get("target_min_separation", sensing.R_c_outer))
@@ -90,8 +87,7 @@ def _sample_targets(cfg, obstacles, grid, bounds, sensing, rng):
         grid.is_free(grid.cell_of(lo)) and grid.is_free(grid.cell_of(lo + span))
     )
     accepted = np.empty((sum(counts), 3))
-    rows_only = not check_cells and obstacles.empty  # only the separation can reject
-    acc_rows = [None] * len(accepted)  # the accepted rows as float lists
+    acc_rows = [None] * len(accepted)  # the same rows as float lists
     lo_row, span_row = lo.tolist(), span.tolist()
 
     def passing(z, n_acc):
@@ -116,12 +112,11 @@ def _sample_targets(cfg, obstacles, grid, bounds, sensing, rng):
             rows = rows[ok]
         return rows
 
-    def far_enough(z, n_acc):
+    def separated(z, n_acc):
         """The separation test of one candidate z, a float list."""
         x, y, w = z
-        d = math.sqrt(
-            min([(x - a) * (x - a) + (y - b) * (y - b) + (w - c) * (w - c) for a, b, c in acc_rows[:n_acc]])
-        )
+        d2 = [(x - a) * (x - a) + (y - b) * (y - b) + (w - c) * (w - c) for a, b, c in acc_rows[:n_acc]]
+        d = math.sqrt(min(d2, default=math.inf))
         if abs(d - min_sep) <= 1e-9 * min_sep:
             return min(np.linalg.norm(np.array(z) - a) for a in accepted[:n_acc]) >= min_sep
         return d >= min_sep
@@ -131,9 +126,10 @@ def _sample_targets(cfg, obstacles, grid, bounds, sensing, rng):
         left, k = 2000, 1
         while left:
             m = min(k, left)
-            if m == 1 and rows_only:
+            if m == 1 and not check_cells and obstacles.empty:
+                # only the separation can reject: floats give the array test's bits
                 z = [a + r * b for a, r, b in zip(lo_row, rng.random(3).tolist(), span_row)]
-                if not n_acc or far_enough(z, n_acc):
+                if separated(z, n_acc):
                     return np.array(z)
             else:
                 saved = rng.bit_generator.state if m > 1 else None

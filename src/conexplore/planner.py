@@ -301,13 +301,8 @@ def path_kinematics(path: SmoothPath, s: float, v_cruise: float, taper_len: floa
     remaining = path.total_length - s
     f, dfds = taper_factor(remaining, taper_len)
     speed = v_cruise * f
-    centripetal = speed * speed
-    tangential = v_cruise * dfds * speed
-    return (
-        [speed * tan[0], speed * tan[1], speed * tan[2]],
-        [
-            centripetal * curv[0] + tangential * tan[0],
-            centripetal * curv[1] + tangential * tan[1],
-            centripetal * curv[2] + tangential * tan[2],
-        ],
-    )
+    c = speed * speed  # the centripetal and the tangential scale
+    t = v_cruise * dfds * speed
+    return [speed * tan[0], speed * tan[1], speed * tan[2]], [
+        c * curv[0] + t * tan[0], c * curv[1] + t * tan[1], c * curv[2] + t * tan[2]
+    ]

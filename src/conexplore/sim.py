@@ -101,42 +101,39 @@ class PairwiseMinimum:
 
     def update(self, q, traveled, step):
         """Take the positions q after a tick whose step lengths were step,
-        with traveled the running sum of them; all three are flat float lists."""
+        with traveled the running sum of them; q holds a float row per robot."""
         if not len(self._iu[0]):
             return
         self._ticks += 1
         self._skin += max(step) + self.TICK_MARGIN
-        ref = self._ref
+        ref, ref_traveled = self._ref, self._ref_traveled
         if ref is not None and ref[0][0] - 2.0 * self._skin - self.MARGIN >= self.value:
             return  # no pair can come below the minimum
         if ref is None or 2.0 * self._skin > self.SKIN:
             self._renew(q, traveled)
             return
-        ref_traveled = self._ref_traveled
         pad = 2.0 * self._ticks * self.TICK_MARGIN + self.MARGIN
         for d_ref, i, j in ref:
             if d_ref - 2.0 * self._skin - self.MARGIN >= self.value:
                 break  # nor can any later pair, which starts farther apart
             if d_ref - (traveled[i] - ref_traveled[i]) - (traveled[j] - ref_traveled[j]) - pad < self.value:
-                a, b = 3 * i, 3 * j
-                x, y, z = q[a] - q[b], q[a + 1] - q[b + 1], q[a + 2] - q[b + 2]
+                a, b = q[i], q[j]
+                x, y, z = a[0] - b[0], a[1] - b[1], a[2] - b[2]
                 self.value = min(self.value, math.sqrt(x * x + y * y + z * z))
 
-    def _squares(self, q):
-        """Squared distance of every pair at q, an (N, 3) array or a flat list."""
-        q = np.reshape(q, (-1, 3))
+    def all_pairs(self, q):
+        """All-pairs check at q, an (N, 3) array or its rows: the squared
+        distance of every pair and the smallest distance, inf for one robot."""
+        q = np.asarray(q)
         i, j = self._iu
         diff = q[i] - q[j]
-        return (diff * diff).sum(axis=1)
-
-    def all_pairs(self, q) -> float:
-        """Smallest inter-robot distance at q, over every pair; inf for one robot."""
-        return float(np.sqrt(self._squares(q).min())) if len(self._iu[0]) else math.inf
+        d2 = (diff * diff).sum(axis=1)
+        return d2, float(np.sqrt(d2.min(initial=np.inf)))
 
     def _renew(self, q, traveled):
         """All-pairs check at q, which becomes the reference."""
-        d2 = self._squares(q)
-        self.value = min(self.value, float(np.sqrt(d2.min())))
+        d2, d = self.all_pairs(q)
+        self.value = min(self.value, d)
         order = d2.argsort()
         i, j = self._iu
         self._ref = list(zip(np.sqrt(d2[order]).tolist(), i[order].tolist(), j[order].tolist()))
@@ -248,12 +245,11 @@ class Simulation:
         n = self.n
         dt = self.dt
         body = self.body
-        # the team's state stays flat float lists between field ticks; self.q
-        # (and self.v) are ndarrays only where numpy or a reader takes them
-        q = self.q.ravel().tolist()
-        v = self.v.ravel().tolist()
+        # the team's state stays float rows between field ticks; self.q (and
+        # self.v) are ndarrays only where numpy or a reader takes them
+        q = self.q.tolist()
+        v = self.v.tolist()
         traveled = [0.0] * n
-        explorer = np.array([a.is_explorer for a in self.agents])
         explorers = [i for i, a in enumerate(self.agents) if a.is_explorer]
 
         lam2_sum = 0.0
@@ -268,7 +264,6 @@ class Simulation:
 
         field_state = None
         adj = None
-        f_lambda = [0.0] * (3 * n)
         prev_grad = None
 
         if self._all_done():
@@ -277,7 +272,7 @@ class Simulation:
             field_state = evaluate_field(self.q, self.obstacles, self.sensing, self.conn)
             lam2_sum, lam2_n = field_state.lambda2, 1
             min_lam2 = field_state.lambda2
-            pairwise.value = pairwise.all_pairs(self.q)
+            pairwise.value = pairwise.all_pairs(self.q)[1]
             min_clear = float(field_state.clearances.min())
             max_stretch = self._stretch(q, explorers)
 
@@ -292,7 +287,9 @@ class Simulation:
                         self.q, self.obstacles, self.sensing, self.conn, prev_grad
                     )
                     prev_grad = field_state.grad
-                    f_lambda = field_state.forces.ravel().tolist()
+                    # held to the next field tick; a robot no law moves takes 0.0 + its force
+                    self._f_lam = field_state.forces.tolist()
+                    self._f_base = [[0.0 + x, 0.0 + y, 0.0 + z] for x, y, z in self._f_lam]
                     # consensus couples robots with nonzero edge weight; the
                     # full neighbor test runs only at message rounds
                     self._set_consensus_graph((field_state.W > 0.0).astype(float))
@@ -311,7 +308,7 @@ class Simulation:
                                 self.t,
                                 field_state.lambda2,
                                 int((field_state.W > 0).sum() // 2),
-                                pairwise.all_pairs(self.q),
+                                pairwise.all_pairs(self.q)[1],
                                 clear,
                             )
                         )
@@ -324,8 +321,7 @@ class Simulation:
                         completion_time = self.t
                         break
 
-                forces = self._control_forces(q, v, f_lambda, tick)
-                q, v, step = integrate_step(q, v, [a + b for a, b in zip(forces, f_lambda)], body, dt)
+                q, v, step = integrate_step(q, v, self._control_forces(q, v, tick), body, dt)
                 traveled = [a + b for a, b in zip(traveled, step)]
                 pairwise.update(q, traveled, step)
                 for ag in self.agents:
@@ -334,15 +330,13 @@ class Simulation:
                 self.t += dt
                 tick += 1
                 if writer is not None:
-                    self.q = np.array(q).reshape(n, 3)
-                    self.v = np.array(v).reshape(n, 3)
+                    self.q, self.v = np.array(q).reshape(n, 3), np.array(v).reshape(n, 3)
                     self._trace_tick()
         except (ConnectivityViolation, AnchorViolation, SimulationFault) as exc:
             fault = f"{type(exc).__name__}: {exc}"
             self._log_event(-1, "fault", fault)
         finally:
-            self.q = np.array(q).reshape(n, 3)
-            self.v = np.array(v).reshape(n, 3)
+            self.q, self.v = np.array(q).reshape(n, 3), np.array(v).reshape(n, 3)
             if writer is not None:
                 self._close_robot_trace()
 
@@ -354,7 +348,7 @@ class Simulation:
             completion_time=completion_time if completed else self.timeout,
             fault=fault,
             traveled=np.array(traveled),
-            explorer_mask=explorer,
+            explorer_mask=np.array([a.is_explorer for a in self.agents]),
             max_stretch=float(max_stretch),
             mean_lambda2=float(lam2_sum / max(1, lam2_n)),
             min_lambda2=float(min_lam2),
@@ -419,11 +413,11 @@ class Simulation:
                 plan.append((i, ag, role, ag.path))
         return plan
 
-    def _control_forces(self, q_flat, v_flat, f_lam, tick=0):
-        """Per-robot control forces for one tick as a flat list, from the
-        team's positions, velocities and connectivity forces, also flat lists;
-        advances the consensus on the prime's traveling efficiency and pins
-        the prime's own estimate.
+    def _control_forces(self, q_rows, v_rows, tick=0):
+        """Each robot's total force for one tick, its control force plus the
+        held connectivity force, as float rows like q and v; advances the
+        consensus on the prime's traveling efficiency and pins the prime's
+        own estimate.
 
         The laws run on Python floats and take their dot products from
         row_dots, one np.vecdot call for the whole team: |f|^2 of every raw
@@ -440,12 +434,11 @@ class Simulation:
         # refresh the tracked path frames at 250 Hz and hold them in between;
         # the control laws still use the current q and v every tick
         refresh = tick % 4 == 0
-        frames = self._frames
+        frames, f_lam = self._frames, self._f_lam
         jobs = []  # (i, law, q - z or the raw travel force) in plan order
         xs, ys = [], []  # flat 3-rows whose dot products the laws take, in job order
         for i, ag, law, target in self._laws:
-            k = 3 * i
-            q = q_flat[k : k + 3]
+            q = q_rows[i]
             if law == ANCHOR:
                 d = [q[0] - target[0], q[1] - target[1], q[2] - target[2]]
                 jobs.append((i, law, d))
@@ -458,7 +451,7 @@ class Simulation:
             if refresh or frame is None:
                 p, ag.s_track, v_g, a_g = target.track_frame(q, ag.s_track, 0.25, bp.v_cruise, bp.R_z)
                 frame = frames[i] = (p, v_g, a_g)
-            dv, dq = tracking_errors(q, v_flat[k : k + 3], frame)
+            dv, dq = tracking_errors(q, v_rows[i], frame)
             f = travel_force(dv, dq, frame[2], bp)
             jobs.append((i, law, f))
             if law == PRIME:
@@ -466,39 +459,41 @@ class Simulation:
                 xs += e
                 ys += e
             else:
-                x = f_lam[k : k + 3]
+                x = f_lam[i]
                 xs += f + x + x
                 ys += f + x + f
         dots = row_dots(xs, ys) if xs else ()
-        forces = [0.0] * (3 * self.n)
+        forces = self._f_base[:]
         f_max = self.body.f_max
         scaled = []  # (i, saturated travel force, x.x) of a secondary whose force was scaled
         m = 0  # the job's first row in dots
         for i, law, f in jobs:
-            k = 3 * i
+            x = f_lam[i]
             if law == ANCHOR:
-                forces[k : k + 3] = anchor_force(f, dots[m], bp.R_z, bp.k_z)
+                a = anchor_force(f, dots[m], bp.R_z, bp.k_z)
+                forces[i] = [a[0] + x[0], a[1] + x[1], a[2] + x[2]]
                 m += 1
                 continue
             ft = saturate(f, dots[m], f_max)
             if law == PRIME:
                 lam[i] = traveling_efficiency(dots[m + 1], dots[m + 2], bp)
-                forces[k : k + 3] = ft
+                forces[i] = [ft[0] + x[0], ft[1] + x[1], ft[2] + x[2]]
             elif ft is f:
                 gain = adaptive_gain(direction_alignment(dots[m + 1], dots[m], dots[m + 2]), lam[i], bp.sigma)
-                forces[k : k + 3] = [gain * f[0], gain * f[1], gain * f[2]]
+                forces[i] = [gain * f[0] + x[0], gain * f[1] + x[1], gain * f[2] + x[2]]
             else:
                 scaled.append((i, ft, dots[m + 1]))
             m += 3
         if scaled:
             xs, ys = [], []
             for i, ft, _ in scaled:
-                xs += ft + f_lam[3 * i : 3 * i + 3]
+                xs += ft + f_lam[i]
                 ys += ft + ft
             dots = row_dots(xs, ys)
             for m, (i, ft, xx) in enumerate(scaled):
                 gain = adaptive_gain(direction_alignment(xx, dots[2 * m], dots[2 * m + 1]), lam[i], bp.sigma)
-                forces[3 * i : 3 * i + 3] = [gain * ft[0], gain * ft[1], gain * ft[2]]
+                x = f_lam[i]
+                forces[i] = [gain * ft[0] + x[0], gain * ft[1] + x[1], gain * ft[2] + x[2]]
         self.lam_hat = lam
         return forces
 
@@ -506,9 +501,9 @@ class Simulation:
 
     @staticmethod
     def _stretch(q, explorers) -> float:
-        """Largest distance between two explorers at q, a flat list; 0 for
-        fewer than two.  Squares sum x, y, z from the left, as numpy sums a row."""
-        rows = [q[3 * i : 3 * i + 3] for i in explorers]
+        """Largest distance between two explorers at q, float rows; 0 for fewer
+        than two.  Squares sum x, y, z from the left, as numpy sums a row."""
+        rows = [q[i] for i in explorers]
         d2 = [
             (a[0] - b[0]) * (a[0] - b[0]) + (a[1] - b[1]) * (a[1] - b[1]) + (a[2] - b[2]) * (a[2] - b[2])
             for k, a in enumerate(rows)

@@ -38,26 +38,26 @@ class TestSaturate:
 
 
 class TestIntegrateStep:
-    # integrate_step takes and returns flat float lists, x, y, z per robot
+    # integrate_step takes and returns lists of [x, y, z] float rows, one per robot
 
     def test_free_decay_closed_form(self):
         # with no forces the discrete map is v <- v / (1 + dt b/m)
         dt = 1e-3
-        v = [2.0, 0.0, 0.0]
-        q = [0.0, 0.0, 0.0]
+        v = [[2.0, 0.0, 0.0]]
+        q = [[0.0, 0.0, 0.0]]
         for _ in range(1000):
-            q, v, _ = integrate_step(q, v, [0.0, 0.0, 0.0], BP, dt)
+            q, v, _ = integrate_step(q, v, [[0.0, 0.0, 0.0]], BP, dt)
         expect = 2.0 / (1.0 + dt * BP.damping / BP.mass) ** 1000
-        assert v[0] == pytest.approx(expect, rel=1e-12)
+        assert v[0][0] == pytest.approx(expect, rel=1e-12)
         # close to the continuous exponential at this step size
-        assert v[0] == pytest.approx(2.0 * np.exp(-BP.damping * 1.0), rel=1e-2)
+        assert v[0][0] == pytest.approx(2.0 * np.exp(-BP.damping * 1.0), rel=1e-2)
 
     def test_terminal_speed_under_constant_force(self):
-        q, v = [0.0] * 3, [0.0] * 3
-        f = [8.0, 0.0, 0.0]
+        q, v = [[0.0] * 3], [[0.0] * 3]
+        f = [[8.0, 0.0, 0.0]]
         for _ in range(5000):
             q, v, _ = integrate_step(q, v, f, BP, 1e-3)
-        assert v[0] == pytest.approx(8.0 / BP.damping, rel=1e-6)
+        assert v[0][0] == pytest.approx(8.0 / BP.damping, rel=1e-6)
 
     def test_batch_matches_per_row(self):
         rng = np.random.default_rng(6)
@@ -65,36 +65,37 @@ class TestIntegrateStep:
         v = rng.random((4, 3))
         ft = rng.random((4, 3)) * 20
         fl = rng.random((4, 3))
-        qb, vb, sb = integrate_step(q.ravel().tolist(), v.ravel().tolist(), (ft + fl).ravel().tolist(), BP, 1e-3)
+        f = (ft + fl).tolist()
+        qb, vb, sb = integrate_step(q.tolist(), v.tolist(), f, BP, 1e-3)
         for i in range(4):
-            qi, vi, si = integrate_step(q[i].tolist(), v[i].tolist(), (ft[i] + fl[i]).tolist(), BP, 1e-3)
-            assert np.allclose(qb[3 * i : 3 * i + 3], qi)
-            assert np.allclose(vb[3 * i : 3 * i + 3], vi)
+            qi, vi, si = integrate_step([q[i].tolist()], [v[i].tolist()], [f[i]], BP, 1e-3)
+            assert np.allclose(qb[i], qi[0])
+            assert np.allclose(vb[i], vi[0])
             assert sb[i] == si[0]
 
     def test_step_is_the_position_step(self):
         rng = np.random.default_rng(7)
-        q, v, f = (rng.normal(size=12).tolist() for _ in range(3))
+        q, v, f = (rng.normal(size=(4, 3)).tolist() for _ in range(3))
         qn, _, step = integrate_step(q, v, f, BP, 1e-3)
-        moved = np.linalg.norm(np.subtract(qn, q).reshape(4, 3), axis=1)
+        moved = np.linalg.norm(np.subtract(qn, q), axis=1)
         assert np.allclose(step, moved, rtol=1e-9, atol=0.0)
 
     def test_nonfinite_force_faults(self):
         with pytest.raises(SimulationFault):
-            integrate_step([0.0] * 3, [0.0] * 3, [np.nan, 0.0, 0.0], BP, 1e-3)
+            integrate_step([[0.0] * 3], [[0.0] * 3], [[np.nan, 0.0, 0.0]], BP, 1e-3)
 
     def test_bad_dt(self):
         with pytest.raises(ValueError):
-            integrate_step([0.0] * 3, [0.0] * 3, [0.0] * 3, BP, 0.0)
+            integrate_step([[0.0] * 3], [[0.0] * 3], [[0.0] * 3], BP, 0.0)
 
     def test_energy_dissipates_without_input(self):
         rng = np.random.default_rng(1)
-        v = rng.random(3).tolist()
-        q = [0.0] * 3
-        e_prev = 0.5 * BP.mass * np.dot(v, v)
+        v = [rng.random(3).tolist()]
+        q = [[0.0] * 3]
+        e_prev = 0.5 * BP.mass * np.dot(v[0], v[0])
         for _ in range(100):
-            q, v, _ = integrate_step(q, v, [0.0] * 3, BP, 1e-3)
-            e = 0.5 * BP.mass * np.dot(v, v)
+            q, v, _ = integrate_step(q, v, [[0.0] * 3], BP, 1e-3)
+            e = 0.5 * BP.mass * np.dot(v[0], v[0])
             assert e < e_prev
             e_prev = e
 

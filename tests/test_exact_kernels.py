@@ -179,11 +179,11 @@ def test_premise_force_check_gives_numpys_verdict():
     assert not math.isfinite(np.add.reduce(f, axis=None)), (
         "premise broken: numpy's sum over an (N, 3) force block no longer overflows where this test expects"
     )
-    zeros = [0.0] * 18
+    zeros = np.zeros((6, 3))
     with pytest.raises(SimulationFault):
-        oracles.integrate_step(np.zeros((6, 3)), np.zeros((6, 3)), f, BodyParams(), 1e-3)
+        oracles.integrate_step(zeros, zeros, f, BodyParams(), 1e-3)
     with pytest.raises(SimulationFault):
-        integrate_step(zeros, zeros, f.ravel().tolist(), BodyParams(), 1e-3)
+        integrate_step(zeros.tolist(), zeros.tolist(), f.tolist(), BodyParams(), 1e-3)
 
 
 # -- the float laws against the numpy laws they replaced --------------------------
@@ -325,7 +325,7 @@ def test_float_integration_equals_numpy_law():
         pick = rng.random((n, 3)) < rng.choice([0.0, 0.02, 0.2])
         f[pick] = rng.choice(edges, size=pick.sum())
         rows += n
-        args = (q.ravel().tolist(), v.ravel().tolist(), f.ravel().tolist(), body, 1e-3)
+        args = (q.tolist(), v.tolist(), f.tolist(), body, 1e-3)
         try:
             expect = oracles.integrate_step(q, v, f, body, 1e-3)
         except SimulationFault:
@@ -349,7 +349,7 @@ def test_float_stretch_equals_numpy():
         q = rng.random((n, 3)) * rng.choice([1e-3, 1.0, 20.0])
         q[rng.random(n) < 0.1] = q[0]
         mask = rng.random(n) < 0.7
-        got = Simulation._stretch(q.ravel().tolist(), np.flatnonzero(mask).tolist())
+        got = Simulation._stretch(q.tolist(), np.flatnonzero(mask).tolist())
         bad += got.hex() != oracles.stretch(q, mask).hex()
     assert not bad, f"{bad} stretches differ from the numpy law"
 

@@ -251,7 +251,7 @@ def test_cli_unwritable_robot_trace_exits_4(tmp_path, capsys):
 
 
 def _all_pairs_min(q) -> float:
-    q = np.reshape(q, (-1, 3))  # the monitor takes q as a flat list
+    q = np.asarray(q)  # the monitor takes q as float rows
     i, j = np.triu_indices(len(q), 1)
     diff = q[i] - q[j]
     return float(np.sqrt((diff * diff).sum(axis=1).min()))
