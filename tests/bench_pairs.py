@@ -8,8 +8,8 @@ Exports both commits with `git archive` into a scratch directory and runs
 every workload, `--pairs` pairs, one parent run and one change run per pair,
 the parent first in even pairs.  Pair p of the k-th workload runs perfbench
 seed `--first-seed + k * pairs + p` on both sides.  Then one `--trace 1`
-layer pass per workload and side, parent first.  Nothing else should run on
-the host meanwhile: it shares the CPU with the runs.
+layer pass per workload and side, parent first (seed 7, 10 s).  Nothing
+else should run on the host meanwhile: it shares the CPU with the runs.
 
 Per workload and end-to-end metric (their units, bounds and directions are
 those `BENCHMARK.json` declares) the file holds every run, the quartiles of
@@ -37,7 +37,6 @@ import io
 import json
 import os
 import platform
-import shutil
 import statistics
 import subprocess
 import sys
@@ -47,6 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("walled_mc", "empty_mc", "empty_trace_io")
+LAYER_SEED, LAYER_SECONDS = 7, 10.0  # the layer pass of BENCH_15.json
 
 
 def git(*args) -> str:
@@ -55,7 +55,8 @@ def git(*args) -> str:
 
 def export(rev: str, dest: Path) -> Path:
     """Extract the tree of rev into dest."""
-    data = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True).stdout
+    cmd = ["git", "archive", "--format=tar", rev]
+    data = subprocess.run(cmd, cwd=ROOT, check=True, capture_output=True).stdout
     dest.mkdir(parents=True)
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         tar.extractall(dest, filter="data")
@@ -103,7 +104,8 @@ def metric_summary(parent, change, unit, bound, lower_is_better, claim=None) -> 
     if all(p == c for p, c in zip(parent, change)):
         verdict = "identical in every run"
     elif claim is not None:
-        met = wins >= 0.9 * len(parent) and gain > iqr and (ratio <= claim if lower_is_better else ratio >= claim)
+        reached = ratio <= claim if lower_is_better else ratio >= claim
+        met = wins >= 0.9 * len(parent) and gain > iqr and reached
         verdict = "claim met" if met else "claim missed"
     elif all(better(c, p) for c in change for p in parent):
         verdict = "better in every run"
@@ -169,10 +171,7 @@ def parse_args(argv):
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--first-seed", type=int, required=True, help="seeds not used while writing the change")
     ap.add_argument("--claim", help="WORKLOAD:METRIC:RATIO, the ratio of the medians the change claims")
-    ap.add_argument("--layer-seed", type=int, default=7)
-    ap.add_argument("--layer-seconds", type=float, default=10.0)
     ap.add_argument("--note", default="", help="what the host was like while the runs were taken")
-    ap.add_argument("--work", help="a new directory to keep the two exports in (default: a temporary one, removed)")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2, for quartiles")
@@ -188,19 +187,16 @@ def parse_args(argv):
 def main(argv=None) -> int:
     args = parse_args(argv)
     parent_rev, change_rev = git("rev-parse", "--short", args.parent), git("rev-parse", "--short", args.change)
-    work = Path(args.work or tempfile.mkdtemp(prefix="bench_pairs_"))
-    try:
-        trees = {"parent": export(parent_rev, work / f"parent-{parent_rev}")}
-        trees["change"] = export(change_rev, work / f"change-{change_rev}")
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as work:
+        trees = {"parent": export(parent_rev, Path(work) / "parent")}
+        trees["change"] = export(change_rev, Path(work) / "change")
         record = measure(args, trees, parent_rev, change_rev)
-    finally:
-        if args.work is None:
-            shutil.rmtree(work, ignore_errors=True)
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
     for workload, w in record["workloads"].items():
-        print(workload + ": " + ", ".join(f"{n} {m['ratio_of_medians']:.3f} ({m['verdict']})" for n, m in w["metrics"].items()))
+        ratios = (f"{n} {m['ratio_of_medians']:.3f} ({m['verdict']})" for n, m in w["metrics"].items())
+        print(f"{workload}: {', '.join(ratios)}")
     print(f"wrote {args.out}")
     return 0
 
@@ -250,7 +246,7 @@ def measure(args, trees, parent_rev, change_rev) -> dict:
     for workload in args.workloads:
         layer_runs[workload] = {}
         for side in ("parent", "change"):
-            r = perfbench(trees[side], workload, args.layer_seed, args.layer_seconds, 1)
+            r = perfbench(trees[side], workload, LAYER_SEED, LAYER_SECONDS, 1)
             layer_runs[workload][side] = {
                 "correct": r["correct"],
                 "attempted": r["attempted"],
@@ -261,14 +257,15 @@ def measure(args, trees, parent_rev, change_rev) -> dict:
 
     claim = None
     if args.claim:
-        claim = {"workload": args.claim[0], "metric": args.claim[1], "target": f"<= {args.claim[2]}x the parent's median"}
+        workload, metric, ratio = args.claim
+        claim = {"workload": workload, "metric": metric, "target": f"<= {ratio}x the parent's median"}
     method = (
         f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0, run from a fresh "
-        f"export of each commit (git archive) by tests/bench_pairs.py; {args.pairs} pairs per workload, the side "
-        "that runs first alternating by pair (parent first in even pairs); runs are sequential. Quartiles: "
-        "statistics.quantiles(method='inclusive'). A claim needs >= 9 of 10 wins and a median gain larger than "
-        "the parent's interquartile range; other metrics are 'unresolved' where either side's IQR over its median "
-        "exceeds the bound, unless every change run is better than every parent run."
+        f"export of each commit (git archive) by tests/bench_pairs.py; {args.pairs} pairs per workload, "
+        "the side that runs first alternating by pair (parent first in even pairs); runs are sequential. "
+        "Quartiles: statistics.quantiles(method='inclusive'). A claim needs >= 9 of 10 wins and a median "
+        "gain larger than the parent's interquartile range; other metrics are 'unresolved' where either "
+        "side's IQR over its median exceeds the bound, unless every change run is better than every parent run."
     )
     return {
         "change": args.title,
@@ -282,7 +279,7 @@ def measure(args, trees, parent_rev, change_rev) -> dict:
         "workloads": workloads,
         "layer_pass": {
             "command": (
-                f"python3 perfbench/run.py --workload W --seed {args.layer_seed} --seconds {args.layer_seconds:g} "
+                f"python3 perfbench/run.py --workload W --seed {LAYER_SEED} --seconds {LAYER_SECONDS:g} "
                 "--trace 1, one run per side, parent first"
             ),
             "runs": layer_runs,

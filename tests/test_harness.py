@@ -169,7 +169,9 @@ class TestSampleTargets:
                 differ.append(seed)
         return differ
 
-    @pytest.mark.parametrize("path, seeds", [(EMPTY_SCENARIO, range(200)), ("scenarios/walled_15x20.json", range(3))])
+    @pytest.mark.parametrize(
+        "path, seeds", [(EMPTY_SCENARIO, range(200)), ("scenarios/walled_15x20.json", range(3))]
+    )
     def test_matches_block_sampler(self, path, seeds):
         # one-row blocks on the empty world are tested on floats, with the
         # targets and the generator state of the array test
