@@ -256,8 +256,7 @@ class SmoothPath:
         between the table rows i - 1 and i around s, as 3-lists; the norm sums
         x, y, z from the left, as numpy sums a row."""
         s_rows, tan, curv, _ = self._table
-        i = bisect.bisect_left(s_rows, s)
-        i = 1 if i < 1 else len(s_rows) - 1 if i > len(s_rows) - 1 else i
+        i = min(max(bisect.bisect_left(s_rows, s), 1), len(s_rows) - 1)
         s0, s1 = s_rows[i - 1], s_rows[i]
         w = 0.0 if s1 == s0 else (s - s0) / (s1 - s0)
         u = 1.0 - w
