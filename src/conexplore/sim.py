@@ -137,7 +137,7 @@ class PairwiseMinimum:
         order = d2.argsort()
         i, j = self._iu
         self._ref = list(zip(np.sqrt(d2[order]).tolist(), i[order].tolist(), j[order].tolist()))
-        self._ref_traveled = traveled
+        self._ref_traveled = traveled[:]
         self._skin = 0.0
         self._ticks = 0
 
