@@ -250,7 +250,7 @@ class Simulation:
         q = self.q.tolist()
         v = self.v.tolist()
         traveled = [0.0] * n
-        explorers = [i for i, a in enumerate(self.agents) if a.is_explorer]
+        explorer = np.array([a.is_explorer for a in self.agents])
 
         lam2_sum = 0.0
         lam2_n = 0
@@ -264,6 +264,7 @@ class Simulation:
 
         field_state = None
         adj = None
+        f_lam = f_base = None
         prev_grad = None
 
         if self._all_done():
@@ -274,7 +275,7 @@ class Simulation:
             min_lam2 = field_state.lambda2
             pairwise.value = pairwise.all_pairs(self.q)[1]
             min_clear = float(field_state.clearances.min())
-            max_stretch = self._stretch(q, explorers)
+            max_stretch = self._stretch(explorer)
 
         tick = 0
         max_ticks = int(round(self.timeout / dt))
@@ -288,8 +289,8 @@ class Simulation:
                     )
                     prev_grad = field_state.grad
                     # held to the next field tick; a robot no law moves takes 0.0 + its force
-                    self._f_lam = field_state.forces.tolist()
-                    self._f_base = [[0.0 + x, 0.0 + y, 0.0 + z] for x, y, z in self._f_lam]
+                    f_lam = field_state.forces.tolist()
+                    f_base = [[0.0 + x, 0.0 + y, 0.0 + z] for x, y, z in f_lam]
                     # consensus couples robots with nonzero edge weight; the
                     # full neighbor test runs only at message rounds
                     self._set_consensus_graph((field_state.W > 0.0).astype(float))
@@ -299,7 +300,7 @@ class Simulation:
                     # the field's clearances are the robots' own, at this q
                     clear = float(field_state.clearances.min())
                     min_clear = min(min_clear, clear)
-                    max_stretch = max(max_stretch, self._stretch(q, explorers))
+                    max_stretch = max(max_stretch, self._stretch(explorer))
                     if field_state.degenerate:
                         self.mon.degenerate_ticks += 1
                     if self.trace_dir:
@@ -321,7 +322,8 @@ class Simulation:
                         completion_time = self.t
                         break
 
-                q, v, step = integrate_step(q, v, self._control_forces(q, v, tick), body, dt)
+                f_total = self._control_forces(q, v, f_lam, f_base, tick)
+                q, v, step = integrate_step(q, v, f_total, body, dt)
                 traveled = [a + b for a, b in zip(traveled, step)]
                 pairwise.update(q, traveled, step)
                 for ag in self.agents:
@@ -348,7 +350,7 @@ class Simulation:
             completion_time=completion_time if completed else self.timeout,
             fault=fault,
             traveled=np.array(traveled),
-            explorer_mask=np.array([a.is_explorer for a in self.agents]),
+            explorer_mask=explorer,
             max_stretch=float(max_stretch),
             mean_lambda2=float(lam2_sum / max(1, lam2_n)),
             min_lambda2=float(min_lam2),
@@ -413,9 +415,10 @@ class Simulation:
                 plan.append((i, ag, role, ag.path))
         return plan
 
-    def _control_forces(self, q_rows, v_rows, tick=0):
+    def _control_forces(self, q_rows, v_rows, f_lam, f_base, tick=0):
         """Each robot's total force for one tick, its control force plus the
-        held connectivity force, as float rows like q and v; advances the
+        held connectivity force f_lam, as float rows like q and v; f_base is
+        0.0 + f_lam, the total of a robot no law moves.  Advances the
         consensus on the prime's traveling efficiency and pins the prime's
         own estimate.
 
@@ -434,7 +437,7 @@ class Simulation:
         # refresh the tracked path frames at 250 Hz and hold them in between;
         # the control laws still use the current q and v every tick
         refresh = tick % 4 == 0
-        frames, f_lam = self._frames, self._f_lam
+        frames = self._frames
         jobs = []  # (i, law, q - z or the raw travel force) in plan order
         xs, ys = [], []  # flat 3-rows whose dot products the laws take, in job order
         for i, ag, law, target in self._laws:
@@ -463,7 +466,7 @@ class Simulation:
                 xs += f + x + x
                 ys += f + x + f
         dots = row_dots(xs, ys) if xs else ()
-        forces = self._f_base[:]
+        forces = f_base[:]
         f_max = self.body.f_max
         scaled = []  # (i, saturated travel force, x.x) of a secondary whose force was scaled
         m = 0  # the job's first row in dots
@@ -499,17 +502,12 @@ class Simulation:
 
     # -- monitors ----------------------------------------------------------------
 
-    @staticmethod
-    def _stretch(q, explorers) -> float:
-        """Largest distance between two explorers at q, float rows; 0 for fewer
-        than two.  Squares sum x, y, z from the left, as numpy sums a row."""
-        rows = [q[i] for i in explorers]
-        d2 = [
-            (a[0] - b[0]) * (a[0] - b[0]) + (a[1] - b[1]) * (a[1] - b[1]) + (a[2] - b[2]) * (a[2] - b[2])
-            for k, a in enumerate(rows)
-            for b in rows[:k]
-        ]
-        return math.sqrt(max(d2)) if d2 else 0.0
+    def _stretch(self, explorer_mask) -> float:
+        qs = self.q[explorer_mask]
+        if len(qs) < 2:
+            return 0.0
+        diff = qs[:, None, :] - qs[None, :, :]
+        return float(np.sqrt((diff * diff).sum(axis=2)).max())
 
     def _all_done(self) -> bool:
         for a in self.agents:

@@ -4,10 +4,10 @@
         --title "what the change does" --claim empty_mc:us_per_tick:0.85 --first-seed 301
 
 Exports both commits with `git archive` into a scratch directory and runs
-`perfbench/run.py --seconds S --trace 0` from each export, sequentially: for
-every workload, `--pairs` pairs, one parent run and one change run per pair,
-the parent first in even pairs.  Pair p of the k-th workload runs perfbench
-seed `--first-seed + k * pairs + p` on both sides.  Then one `--trace 1`
+`perfbench/run.py --seconds 30 --trace 0` from each export, sequentially:
+for every workload of the benchmark, 10 pairs, one parent run and one change
+run per pair, the parent first in even pairs.  Pair p of the k-th workload
+runs perfbench seed `--first-seed + 10 * k + p` on both sides.  Then one `--trace 1`
 layer pass per workload and side, parent first (seed 7, 10 s).  Nothing
 else should run on the host meanwhile: it shares the CPU with the runs.
 
@@ -46,6 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("walled_mc", "empty_mc", "empty_trace_io")
+PAIRS, SECONDS = 10, 30.0  # the benchmark's run length; 10 pairs to judge a claim
 LAYER_SEED, LAYER_SECONDS = 7, 10.0  # the layer pass of BENCH_15.json
 
 
@@ -166,15 +167,10 @@ def parse_args(argv):
     ap.add_argument("--change", default="HEAD", help="the commit measured (default HEAD)")
     ap.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
     ap.add_argument("--title", required=True, help="one line on what the change does")
-    ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--first-seed", type=int, required=True, help="seeds not used while writing the change")
     ap.add_argument("--claim", help="WORKLOAD:METRIC:RATIO, the ratio of the medians the change claims")
     ap.add_argument("--note", default="", help="what the host was like while the runs were taken")
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2, for quartiles")
     if args.claim:
         try:
             workload, metric, ratio = args.claim.split(":")
@@ -206,15 +202,15 @@ def measure(args, trees, parent_rev, change_rev) -> dict:
     declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
 
     workloads = {}
-    for k, workload in enumerate(args.workloads):
-        seeds = [args.first_seed + k * args.pairs + p for p in range(args.pairs)]
+    for k, workload in enumerate(WORKLOADS):
+        seeds = [args.first_seed + k * PAIRS + p for p in range(PAIRS)]
         runs = {"parent": [], "change": []}
         first = []
         for p, seed in enumerate(seeds):
             order = ("parent", "change") if p % 2 == 0 else ("change", "parent")
             first.append(order[0])
             for side in order:
-                runs[side].append(perfbench(trees[side], workload, seed, args.seconds, 0))
+                runs[side].append(perfbench(trees[side], workload, seed, SECONDS, 0))
                 value = runs[side][-1]["metrics"]["us_per_tick"]["value"]
                 print(f"{workload} pair {p} seed {seed} {side}: us_per_tick {value:.1f}", flush=True)
         metrics = {}
@@ -233,7 +229,7 @@ def measure(args, trees, parent_rev, change_rev) -> dict:
             )
         workloads[workload] = {
             "seeds": seeds,
-            "pairs": args.pairs,
+            "pairs": PAIRS,
             "first_side": first,
             "checks_failed": {s: sum(r["failed"] for r in runs[s]) for s in runs},
             "checks_attempted": {s: sum(r["attempted"] for r in runs[s]) for s in runs},
@@ -243,7 +239,7 @@ def measure(args, trees, parent_rev, change_rev) -> dict:
         }
 
     layer_runs = {}
-    for workload in args.workloads:
+    for workload in WORKLOADS:
         layer_runs[workload] = {}
         for side in ("parent", "change"):
             r = perfbench(trees[side], workload, LAYER_SEED, LAYER_SECONDS, 1)
@@ -260,8 +256,8 @@ def measure(args, trees, parent_rev, change_rev) -> dict:
         workload, metric, ratio = args.claim
         claim = {"workload": workload, "metric": metric, "target": f"<= {ratio}x the parent's median"}
     method = (
-        f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0, run from a fresh "
-        f"export of each commit (git archive) by tests/bench_pairs.py; {args.pairs} pairs per workload, "
+        f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS:g} --trace 0, run from a fresh "
+        f"export of each commit (git archive) by tests/bench_pairs.py; {PAIRS} pairs per workload, "
         "the side that runs first alternating by pair (parent first in even pairs); runs are sequential. "
         "Quartiles: statistics.quantiles(method='inclusive'). A claim needs >= 9 of 10 wins and a median "
         "gain larger than the parent's interquartile range; other metrics are 'unresolved' where either "
@@ -285,7 +281,6 @@ def measure(args, trees, parent_rev, change_rev) -> dict:
             "runs": layer_runs,
         },
     }
-    return record
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@ The spline a `SmoothPath` table samples, queried by a bounded scalar search
 instead of the table; the segment-obstacle kernel over every (segment,
 point) pair in (P, M, 3) arrays, and the clearance of one segment through
 it; the length of a grid path, summed step by step; the control laws,
-the path kinematics, the integration step and the explorers' stretch on
-numpy arrays, as the simulator ran them before its float port; the target sampler that tested
+the path kinematics and the integration step on numpy arrays, as the
+simulator ran them before its float port; the target sampler that tested
 every block of candidates as arrays.
 """
 
@@ -113,15 +113,6 @@ def integrate_step(q, v, f, bp, dt: float):
     v_new = (v + (dt / bp.mass) * f) / (1.0 + dt * bp.damping / bp.mass)
     dq = dt * v_new
     return q + dq, v_new, np.sqrt(np.add.reduce(dq * dq, axis=1))
-
-
-def stretch(q, explorer_mask) -> float:
-    """Largest distance between two of the masked rows of the (N, 3) array q."""
-    qs = q[explorer_mask]
-    if len(qs) < 2:
-        return 0.0
-    diff = qs[:, None, :] - qs[None, :, :]
-    return float(np.sqrt((diff * diff).sum(axis=2)).max())
 
 
 def path_kinematics(path, s: float, v_cruise: float, taper_len: float = 0.0):

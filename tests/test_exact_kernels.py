@@ -30,7 +30,6 @@ from conexplore.behavior import (
 from conexplore.connectivity import fiedler, laplacian
 from conexplore.dynamics import BodyParams, SimulationFault, integrate_step, saturate
 from conexplore.planner import SmoothPath, path_kinematics
-from conexplore.sim import Simulation
 from conexplore.world import ObstacleSet, sample_box, segment_gaps, segment_rows
 
 # a row is one per-robot vector of a tick: these scales cover zeros, tiny and
@@ -338,20 +337,6 @@ def test_float_integration_equals_numpy_law():
         moved += bool(np.any(expect[2]))
     assert not bad, f"{bad} integration steps differ from the numpy law"
     assert faults and moved, (faults, moved)
-
-
-def test_float_stretch_equals_numpy():
-    # every team size and explorer subset, with coincident explorers
-    rng = np.random.default_rng(29)
-    bad = 0
-    for _ in range(2000):
-        n = int(rng.integers(1, 13))
-        q = rng.random((n, 3)) * rng.choice([1e-3, 1.0, 20.0])
-        q[rng.random(n) < 0.1] = q[0]
-        mask = rng.random(n) < 0.7
-        got = Simulation._stretch(q.tolist(), np.flatnonzero(mask).tolist())
-        bad += got.hex() != oracles.stretch(q, mask).hex()
-    assert not bad, f"{bad} stretches differ from the numpy law"
 
 
 def test_consensus_step_equals_numpy_law():
