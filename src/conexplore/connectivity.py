@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .world import ObstacleSet, SensingParams, near_pairs, segment_candidates, segment_gaps, segment_rows
+from .world import ObstacleSet, ObstacleView, SensingParams
 
 _EIGENGAP_TOL = 1e-9
 
@@ -89,9 +89,10 @@ def _leave_one_out(ru):
 
 class WeightFactors:
     """All weight factors and their distance derivatives for one configuration,
-    with each robot's obstacle clearance."""
+    with each robot's obstacle clearance; the obstacle factors read view's
+    lists (a fresh view at the positions without one)."""
 
-    def __init__(self, positions, obstacles: ObstacleSet, p: SensingParams):
+    def __init__(self, positions, obstacles: ObstacleSet, p: SensingParams, view: ObstacleView | None = None):
         q = np.asarray(positions, dtype=float)
         n = len(q)
         diag = slice(None, None, n + 1)  # the diagonal of a flattened (n, n) array
@@ -119,47 +120,25 @@ class WeightFactors:
         self.obst_g = np.zeros((n, n, 3))  # grad of d_ijo wrt q_i (first index)
         if not obstacles.empty:
             self.clear = obstacles.clearances(q)
-            ii, jj = np.nonzero(np.triu(self.range_f, 1) > 0.0)
-            # pruned pairs keep a unit factor
-            ii, jj = near_pairs(ii, jj, self.clear, dist, p.R_o_outer)
-            if len(ii):
-                self._obstacle_factors(q, ii, jj, obstacles, p)
+            view = ObstacleView(obstacles, p) if view is None else view
+            self._obstacle_factors(view.nearest(q, self.range_f > 0.0, p.R_o_outer, p.R_m), p)
 
-    def _obstacle_factors(self, q, ii, jj, obstacles: ObstacleSet, p: SensingParams):
+    def _obstacle_factors(self, hits, p: SensingParams):
         """Obstacle factor of each pair from its nearest visible point.
 
-        Only a point within R_o_outer of a segment can move its factor off 1,
-        so each pair looks at the KD-tree candidates of its segment (the 1e-9
-        margin keeps a point whose rounded distance lands on R_o_outer), and
-        of those at the ones within R_m of either end: the robot-local
-        obstacle views.  Candidates come in point order, so the first row at
-        a pair's minimum is the point that argmin over all points picks.
+        hits holds each pair whose segment passes within R_o_outer of a point
+        within R_m of either end (the robot-local obstacle views), with that
+        point's segment_gap; every other pair keeps a factor of exactly 1.
         """
-        qa, qb = q[ii], q[jj]
-        seg, pt, count = segment_candidates(obstacles, qa, qb, self.dist[ii, jj], p.R_o_outer + 1e-9)
-        a, u, uu, pts = segment_rows(qa, qb, obstacles.points, seg, pt)
-        w = pts - np.stack([a, np.take(qb.T, seg, axis=1)])  # from each end to the point
-        within = (np.add.reduce(w * w, axis=1, initial=0.0) <= p.R_m**2).any(axis=0)
-        t, gap, d = segment_gaps(a, u, uu, pts)
-        d = np.where(within, d, np.inf)
-        seen = count > 0
-        start = (np.cumsum(count) - count)[seen]
-        dmin = np.minimum.reduceat(d, start)
-        hit = np.flatnonzero(d == np.repeat(dmin, count[seen]))
-        k = hit[np.searchsorted(hit, start)]
-        ii, jj = ii[seen], jj[seen]
-        have = dmin < np.inf
-        f, fd = ramp_up_pair(dmin, p.R_o, p.R_o_outer)
-        f = np.where(have, f, 1.0)
-        fd = np.where(have, fd, 0.0)
-        tk = t[k]
-        away = have & (dmin > 0.0)
-        u_hat = (gap[:, k] / np.where(away, dmin, 1.0)).T
-        u_hat[~away] = 0.0
-        self.obst_f[ii, jj] = self.obst_f[jj, ii] = f
-        self.obst_d[ii, jj] = self.obst_d[jj, ii] = fd
-        self.obst_g[ii, jj] = (1.0 - tk)[:, None] * u_hat
-        self.obst_g[jj, ii] = tk[:, None] * u_hat
+        if not hits:
+            return
+        f, fd = ramp_up_pair(np.array([h[2] for h in hits]), p.R_o, p.R_o_outer)
+        for (i, j, d, t, gap), fij, dij in zip(hits, f.tolist(), fd.tolist()):
+            self.obst_f[i, j] = self.obst_f[j, i] = fij
+            self.obst_d[i, j] = self.obst_d[j, i] = dij
+            u_hat = [gap[0] / d, gap[1] / d, gap[2] / d] if d > 0.0 else [0.0, 0.0, 0.0]
+            self.obst_g[i, j] = [(1.0 - t) * u_hat[0], (1.0 - t) * u_hat[1], (1.0 - t) * u_hat[2]]
+            self.obst_g[j, i] = [t * u_hat[0], t * u_hat[1], t * u_hat[2]]
 
     def weight_matrix(self) -> np.ndarray:
         W = self.range_f * self.obst_f * np.outer(self.P, self.P)
@@ -249,6 +228,7 @@ class FieldState:
     forces: np.ndarray
     degenerate: bool
     clearances: np.ndarray  # each robot's obstacle clearance
+    dist: np.ndarray  # inter-robot distances, the diagonal a placeholder
 
 
 def evaluate_field(
@@ -257,6 +237,7 @@ def evaluate_field(
     sensing: SensingParams,
     cp: ConnectivityParams,
     prev_grad=None,
+    view: ObstacleView | None = None,
 ) -> FieldState:
     """Full per-tick connectivity evaluation (the global spectral oracle)."""
     q = np.asarray(positions, dtype=float)
@@ -275,8 +256,9 @@ def evaluate_field(
             forces=np.zeros((n, 3)),
             degenerate=False,
             clearances=np.full(n, np.inf) if obstacles.empty else obstacles.clearances(q),
+            dist=np.zeros((n, n)),
         )
-    factors = WeightFactors(q, obstacles, sensing)
+    factors = WeightFactors(q, obstacles, sensing, view)
     W = factors.weight_matrix()
     spec = fiedler(laplacian(W))
     degenerate = spec.eigengap < _EIGENGAP_TOL and prev_grad is not None
@@ -297,4 +279,5 @@ def evaluate_field(
         forces=forces,
         degenerate=degenerate,
         clearances=factors.clear,
+        dist=factors.dist,
     )

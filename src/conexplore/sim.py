@@ -40,7 +40,7 @@ from .behavior import (
 from .connectivity import ConnectivityParams, ConnectivityViolation, evaluate_field
 from .dynamics import BodyParams, ReferenceFilter, SimulationFault, integrate_step, saturate
 from .planner import NoPath, OccupiedEndpoint, SmoothPath, astar
-from .world import ObstacleSet, OccupancyGrid, SensingParams, adjacency
+from .world import ObstacleSet, ObstacleView, OccupancyGrid, SensingParams, adjacency
 
 TRACE_WRITER = os.path.join(os.path.dirname(__file__), "trace_writer.py")
 
@@ -190,6 +190,8 @@ class Simulation:
         self._frames = {}  # the path frame each traveler tracks, refreshed at 250 Hz
         self._laws = None  # the control plan, renewed after each message round
         self._filter = ReferenceFilter(initial_position=self.q) if use_filter else None
+        # the obstacle lists of adjacency and the field, built at their first call
+        self._view = None if obstacles.empty else ObstacleView(obstacles, sensing)
 
     # -- planning helpers -----------------------------------------------------
 
@@ -226,7 +228,7 @@ class Simulation:
         message handling and the due close, not the role handlers, and do not
         feed the monitors.
         """
-        adj = adjacency(self.q, self.obstacles, self.sensing)
+        adj = adjacency(self.q, self.obstacles, self.sensing, self._view)
         self._set_consensus_graph(adj.astype(float))
         self.mon.targets_planned = sum(len(a.queue) for a in self.agents)
         for i, ag in enumerate(self.agents):
@@ -251,6 +253,8 @@ class Simulation:
         v = self.v.tolist()
         traveled = [0.0] * n
         explorer = np.array([a.is_explorer for a in self.agents])
+        e = np.flatnonzero(explorer)
+        explorer_pairs = tuple(e[k] for k in np.triu_indices(len(e), 1))
 
         lam2_sum = 0.0
         lam2_n = 0
@@ -270,12 +274,12 @@ class Simulation:
         if self._all_done():
             completed = True
             completion_time = 0.0
-            field_state = evaluate_field(self.q, self.obstacles, self.sensing, self.conn)
+            field_state = evaluate_field(self.q, self.obstacles, self.sensing, self.conn, None, self._view)
             lam2_sum, lam2_n = field_state.lambda2, 1
             min_lam2 = field_state.lambda2
             pairwise.value = pairwise.all_pairs(self.q)[1]
             min_clear = float(field_state.clearances.min())
-            max_stretch = self._stretch(explorer)
+            max_stretch = self._stretch(field_state.dist, explorer_pairs)
 
         tick = 0
         max_ticks = int(round(self.timeout / dt))
@@ -285,7 +289,7 @@ class Simulation:
                 if tick % self.FIELD_EVERY == 0:
                     self.q = np.array(q).reshape(n, 3)
                     field_state = evaluate_field(
-                        self.q, self.obstacles, self.sensing, self.conn, prev_grad
+                        self.q, self.obstacles, self.sensing, self.conn, prev_grad, self._view
                     )
                     prev_grad = field_state.grad
                     # held to the next field tick; a robot no law moves takes 0.0 + its force
@@ -300,7 +304,7 @@ class Simulation:
                     # the field's clearances are the robots' own, at this q
                     clear = float(field_state.clearances.min())
                     min_clear = min(min_clear, clear)
-                    max_stretch = max(max_stretch, self._stretch(explorer))
+                    max_stretch = max(max_stretch, self._stretch(field_state.dist, explorer_pairs))
                     if field_state.degenerate:
                         self.mon.degenerate_ticks += 1
                     if self.trace_dir:
@@ -315,7 +319,7 @@ class Simulation:
                         )
 
                 if tick % self.PLAN_EVERY == 0:  # a field tick too, so self.q is current
-                    adj = adjacency(self.q, self.obstacles, self.sensing)
+                    adj = adjacency(self.q, self.obstacles, self.sensing, self._view)
                     self._plan_round(adj)
                     if self._all_done():
                         completed = True
@@ -502,12 +506,11 @@ class Simulation:
 
     # -- monitors ----------------------------------------------------------------
 
-    def _stretch(self, explorer_mask) -> float:
-        qs = self.q[explorer_mask]
-        if len(qs) < 2:
-            return 0.0
-        diff = qs[:, None, :] - qs[None, :, :]
-        return float(np.sqrt((diff * diff).sum(axis=2)).max())
+    @staticmethod
+    def _stretch(dist, explorer_pairs) -> float:
+        """The largest distance between two explorers, read from the field's
+        distances at the explorer pairs (i < j), 0.0 for fewer than two."""
+        return float(dist[explorer_pairs].max(initial=0.0))
 
     def _all_done(self) -> bool:
         for a in self.agents:

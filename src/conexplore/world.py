@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,61 +121,112 @@ def segment_gaps(a, u, uu, p):
     return t, gap, np.sqrt(np.add.reduce(gap * gap, axis=0, initial=0.0))
 
 
-def segment_candidates(obstacles: ObstacleSet, qa, qb, length, radius):
-    """Every obstacle point that may lie within radius of a segment qa[s]-qb[s].
+def segment_gap(a, b, p):
+    """segment_gaps on Python floats for the segment a-b (u = b - a) and the
+    point p, 3-sequences: (t, gap, d) with segment_gaps' bits, gap a list."""
+    u = [b[0] - a[0], b[1] - a[1], b[2] - a[2]]
+    uu = max(0.0 + u[0] * u[0] + u[1] * u[1] + u[2] * u[2], 1e-300)
+    wx, wy, wz = p[0] - a[0], p[1] - a[1], p[2] - a[2]
+    t = (0.0 + wx * u[0] + wy * u[1] + wz * u[2]) / uu
+    t = 0.0 if t < 0.0 else t  # np.maximum(0, t) keeps t on a tie, so -0.0 stays
+    t = 1.0 if t > 1.0 else t
+    gap = [t * u[0] - wx, t * u[1] - wy, t * u[2] - wz]
+    return t, gap, math.sqrt(0.0 + gap[0] * gap[0] + gap[1] * gap[1] + gap[2] * gap[2])
 
-    A point that close to segment s lies within length[s]/2 + radius of its
-    midpoint, so the KD-tree ball there holds all of them.  Returns (seg, pt,
-    count): the segment and the point index of each candidate row, with the
-    point indices ascending within a segment, and the rows per segment.
+
+class ObstacleView:
+    """Per-pair obstacle lists on a Verlet skin, shared by the whole team.
+
+    At a renewal, every pair within R_s + 2 SKIN keeps the obstacle points
+    within R_o_outer + SKIN of its segment, ascending in that reference
+    distance d0 and then in point index.  A robot i that has moved delta_i
+    from its reference position moves every point of a segment i-j by at
+    most max(delta_i, delta_j), so while no robot has moved more than SKIN
+    (the lists renew together once one has), a list holds every point that
+    can come within R_o_outer of its segment, and a point's distance is at
+    least d0 - max(delta_i, delta_j) (Verlet, Phys. Rev. 159, 98, 1967).
+    MARGIN covers the rounding of the distances and of delta.
     """
-    balls = obstacles._tree.query_ball_point(0.5 * (qa + qb), 0.5 * length + radius, return_sorted=True)
-    count = np.fromiter(map(len, balls), np.intp, len(balls))
-    pt = np.fromiter(itertools.chain.from_iterable(balls), np.intp, int(count.sum()))
-    return np.repeat(np.arange(len(balls)), count), pt, count
+
+    SKIN = 0.3  # m a robot may move from its reference position before the lists renew
+    MARGIN = 1e-9  # m
+
+    def __init__(self, obstacles: ObstacleSet, p: SensingParams):
+        self.obstacles = obstacles
+        self.p = p
+        self._ref = None  # each robot's position at the last renewal, as a float row
+        self._lists = []  # (i, j, [(d0, point index, point), ...]) of each pair i < j with a point
+
+    def _renew(self, q):
+        pts = self.obstacles.points
+        w = q[:, None, :] - pts[None, :, :]
+        reach = np.sqrt(np.add.reduce(w * w, axis=2))  # (N, M) robot-point distances
+        i, j = np.triu_indices(len(q), 1)
+        u = q[j] - q[i]
+        uu = np.maximum(np.add.reduce(u * u, axis=1, initial=0.0), 1e-300)
+        length = np.sqrt(uu)
+        near = length <= self.p.R_s + 2.0 * self.SKIN + self.MARGIN
+        i, j, u, uu, length = i[near], j[near], u[near], uu[near], length[near]
+        r = self.p.R_o_outer + self.SKIN + self.MARGIN
+        # a point within r of segment i-j lies within d_ij + 2r summed over both ends
+        pair, k = np.nonzero(reach[i] + reach[j] <= (length + 2.0 * r)[:, None])
+        d0 = segment_gaps(q[i[pair]].T, u[pair].T, uu[pair], pts[k].T)[2]
+        keep = d0 <= r
+        pair, k, d0 = pair[keep], k[keep], d0[keep]
+        order = np.lexsort((d0, pair))  # stable: the point index ascends on a tie
+        pair, k, d0 = pair[order], k[order], d0[order]
+        first = np.flatnonzero(np.diff(pair, prepend=-1))
+        rows = list(zip(d0.tolist(), k.tolist(), pts[k].tolist()))
+        ends = zip(i[pair[first]].tolist(), j[pair[first]].tolist(), first.tolist(), first[1:].tolist() + [len(rows)])
+        self._lists = [(a, b, rows[m:e]) for a, b, m, e in ends]
+        self._ref = q.tolist()
+
+    def nearest(self, q, linked, limit, reach):
+        """For each pair i < j with linked[i, j], the listed point nearest the
+        segment q[i]-q[j] among those within reach of an end, where it is
+        nearer than limit (at most R_o_outer): [(i, j, d, t, gap)] as
+        segment_gap gives them.  On a tie the lower point index wins, as
+        argmin over all points picks."""
+        rows = q.tolist()
+        delta = [math.dist(a, b) for a, b in zip(rows, self._ref)] if self._ref else None
+        if delta is None or max(delta) > self.SKIN:
+            self._renew(q)
+            delta = [0.0] * len(rows)
+        reach2 = reach**2
+        out = []
+        for i, j, listed in self._lists:
+            slack = max(delta[i], delta[j]) + self.MARGIN
+            if listed[0][0] - slack >= limit or not linked[i, j]:
+                continue
+            a, b = rows[i], rows[j]
+            best, hit = limit, None
+            for d0, k, pt in listed:
+                if d0 - slack > best:
+                    break  # nor can any later point, which starts farther away
+                x, y, z = pt[0] - a[0], pt[1] - a[1], pt[2] - a[2]
+                if 0.0 + x * x + y * y + z * z > reach2:
+                    x, y, z = pt[0] - b[0], pt[1] - b[1], pt[2] - b[2]
+                    if 0.0 + x * x + y * y + z * z > reach2:
+                        continue
+                t, gap, d = segment_gap(a, b, pt)
+                if d < best or (d == best and hit is not None and k < hit[0]):
+                    best, hit = d, (k, t, gap)
+            if hit is not None:
+                out.append((i, j, best, hit[1], hit[2]))
+        return out
 
 
-def segment_rows(qa, qb, points, seg, pt):
-    """The arguments (a, u, uu, p) of segment_gaps for the candidate rows (seg, pt)
-    of the segments qa[s]-qb[s]."""
-    u = (qb - qa).T
-    uu = np.maximum(np.add.reduce(u * u, axis=0, initial=0.0), 1e-300)
-    return (
-        np.take(qa.T, seg, axis=1),
-        np.take(u, seg, axis=1),
-        np.take(uu, seg),
-        np.take(points.T, pt, axis=1),
-    )
-
-
-def near_pairs(ii, jj, clear, dist, radius):
-    """The pairs (ii, jj) whose segment may pass within radius of an obstacle.
-
-    Every point of segment i-j lies within t*d_ij of q_i and (1-t)*d_ij of
-    q_j, so its clearance is at least (c_i + c_j - d_ij)/2; pairs whose bound
-    reaches radius cannot come closer and are dropped.
-    """
-    near = (clear[ii] + clear[jj] - dist[ii, jj]) / 2.0 < radius
-    return ii[near], jj[near]
-
-
-def adjacency(positions, obstacles: ObstacleSet, p: SensingParams) -> np.ndarray:
-    """Boolean N x N neighbor matrix: range strictly < R_s and clearance >= R_o."""
+def adjacency(positions, obstacles: ObstacleSet, p: SensingParams, view: ObstacleView | None = None) -> np.ndarray:
+    """Boolean N x N neighbor matrix: range strictly < R_s and clearance >= R_o,
+    from view's obstacle lists (a fresh view at the positions without one)."""
     q = np.asarray(positions, dtype=float)
     dist = np.linalg.norm(q[:, None, :] - q[None, :, :], axis=2)
     adj = dist < p.R_s
     np.fill_diagonal(adj, False)
     if not obstacles.empty:
-        ii, jj = np.nonzero(np.triu(adj, 1))
-        # the 1e-9 margin keeps a pair whose bound rounds onto R_o
-        ii, jj = near_pairs(ii, jj, obstacles.clearances(q), dist, p.R_o + 1e-9)
-        if len(ii):
-            qa, qb = q[ii], q[jj]
-            seg, pt, _ = segment_candidates(obstacles, qa, qb, dist[ii, jj], p.R_o + 1e-9)
-            d = segment_gaps(*segment_rows(qa, qb, obstacles.points, seg, pt))[2]
-            blocked = seg[d < p.R_o]
-            adj[ii[blocked], jj[blocked]] = False
-            adj[jj[blocked], ii[blocked]] = False
+        view = ObstacleView(obstacles, p) if view is None else view
+        for i, j, *_ in view.nearest(q, adj, p.R_o, INF):
+            adj[i, j] = adj[j, i] = False
     return adj
 
 

@@ -2,8 +2,8 @@
 
 The spline a `SmoothPath` table samples, queried by a bounded scalar search
 instead of the table; the segment-obstacle kernel over every (segment,
-point) pair in (P, M, 3) arrays, and the clearance of one segment through
-it; the length of a grid path, summed step by step; the control laws,
+point) pair in (P, M, 3) arrays, the clearance of one segment and the
+obstacle factors of a team through it; the length of a grid path, summed step by step; the control laws,
 the path kinematics and the integration step on numpy arrays, as the
 simulator ran them before its float port; the target sampler that tested
 every block of candidates as arrays.
@@ -18,6 +18,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 
 from conexplore.behavior import AnchorViolation, ramp
+from conexplore.connectivity import ramp_up_pair
 from conexplore.dynamics import SimulationFault
 from conexplore.harness import ScenarioError
 from conexplore.planner import taper_factor
@@ -52,6 +53,51 @@ def line_of_sight_clearance(qi, qj, obstacles) -> float:
         return INF
     qa, qb = np.asarray([qi, qj], dtype=float)[:, None, :]
     return float(segment_gaps(qa, qb, obstacles.points)[2].min())
+
+
+def obstacle_factors(q, in_range, obstacles, p):
+    """(obst_f, obst_d, obst_g) as WeightFactors holds them, over every point.
+
+    A pair in range (in_range, a boolean (N, N) matrix) takes the point
+    nearest its segment among those within R_m of either end, the first in
+    point order on a tie; where that point is nearer than R_o_outer, its
+    factor is the ramp from R_o up to R_o_outer, and every other pair keeps
+    a factor of 1, a derivative of 0.0 and a zero gradient.
+    """
+    n = len(q)
+    f, fd, g = np.ones((n, n)), np.zeros((n, n)), np.zeros((n, n, 3))
+    ii, jj = np.nonzero(np.triu(in_range, 1))
+    if obstacles.empty or not len(ii):
+        return f, fd, g
+    pts = obstacles.points
+    t, gap, d = segment_gaps(q[ii], q[jj], pts)
+    ends = np.stack([q[ii], q[jj]])[:, :, None, :]
+    within = (((pts - ends) ** 2).sum(axis=3) <= p.R_m**2).any(axis=0)
+    d = np.where(within, d, INF)
+    r = np.arange(len(ii))
+    k = d.argmin(axis=1)
+    off = d[r, k] < p.R_o_outer
+    ii, jj, r, k = ii[off], jj[off], r[off], k[off]
+    dmin, tk = d[r, k], t[r, k]
+    ramp_f, ramp_d = ramp_up_pair(dmin, p.R_o, p.R_o_outer)
+    u_hat = np.zeros((len(r), 3))
+    away = dmin > 0.0
+    u_hat[away] = gap[r, k][away] / dmin[away, None]
+    f[ii, jj] = f[jj, ii] = ramp_f
+    fd[ii, jj] = fd[jj, ii] = ramp_d
+    g[ii, jj] = (1.0 - tk)[:, None] * u_hat
+    g[jj, ii] = tk[:, None] * u_hat
+    return f, fd, g
+
+
+def adjacency(q, obstacles, p):
+    """Neighbours over every pair and every point: range d < R_s and a
+    segment no nearer than R_o to any point."""
+    adj = np.linalg.norm(q[:, None, :] - q[None, :, :], axis=2) < p.R_s
+    np.fill_diagonal(adj, False)
+    for i, j in zip(*np.nonzero(adj)):
+        adj[i, j] = line_of_sight_clearance(q[i], q[j], obstacles) >= p.R_o
+    return adj
 
 
 # -- the control laws on numpy vectors ------------------------------------------

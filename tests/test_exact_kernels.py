@@ -30,7 +30,7 @@ from conexplore.behavior import (
 from conexplore.connectivity import fiedler, laplacian
 from conexplore.dynamics import BodyParams, SimulationFault, integrate_step, saturate
 from conexplore.planner import SmoothPath, path_kinematics
-from conexplore.world import ObstacleSet, sample_box, segment_gaps, segment_rows
+from conexplore.world import ObstacleSet, sample_box, segment_gap, segment_gaps
 
 # a row is one per-robot vector of a tick: these scales cover zeros, tiny and
 # huge values and the subnormals
@@ -129,6 +129,15 @@ def test_premise_maximum_minimum_clamp_equals_clip():
         )
 
 
+def component_rows(qa, qb, points):
+    """The arguments of segment_gaps for every (segment, point) pair of the
+    segments qa[p]-qb[p], in the broadcast layout ObstacleView renews with:
+    (3, P, 1) ends and directions against (3, 1, M) points."""
+    u = qb - qa
+    uu = np.maximum(np.add.reduce(u * u, axis=1, initial=0.0), 1e-300)
+    return qa.T[:, :, None], u.T[:, :, None], uu[:, None], points.T[:, None, :]
+
+
 def test_premise_component_segment_kernel_equals_dense():
     rng = np.random.default_rng(21)
     bad = 0
@@ -140,14 +149,43 @@ def test_premise_component_segment_kernel_equals_dense():
         points = rng.normal(size=(m, 3)) * 3
         points[: min(m, p)] = qa[: min(m, p)]  # points on a segment end
         t, gap, d = oracles.segment_gaps(qa, qb, points)
-        seg, pt = np.repeat(np.arange(p), m), np.tile(np.arange(m), p)
-        ct, cgap, cd = segment_gaps(*segment_rows(qa, qb, points, seg, pt))
-        bad += not (
-            same_bits(ct, t.ravel()) and same_bits(cgap.T, gap.reshape(-1, 3)) and same_bits(cd, d.ravel())
-        )
+        ct, cgap, cd = segment_gaps(*component_rows(qa, qb, points))
+        bad += not (same_bits(ct, t) and same_bits(np.moveaxis(cgap, 0, -1), gap) and same_bits(cd, d))
     assert not bad, (
         f"premise broken: the component-form segment kernel differs from the (P, M, 3) one on {bad} of 100"
     )
+
+
+def test_premise_float_segment_gap_equals_segment_gaps():
+    # ObstacleView evaluates each listed point with segment_gap on floats; the
+    # factor and the adjacency test use its t, gap and d, so they must carry
+    # segment_gaps' bits
+    rng = np.random.default_rng(28)
+    k = 12000
+    qa = rng.normal(size=(k, 3)) * 3
+    qb = qa + rng.normal(size=(k, 3)) * rng.choice([0.0, 1e-160, 1e-3, 1.0, 4.0], size=(k, 1))
+    points = qa + rng.normal(size=(k, 3)) * 3  # t below 0, inside and above 1
+    ends = rng.random(k) < 0.05
+    points[ends] = np.where(rng.random((int(ends.sum()), 1)) < 0.5, qa[ends], qb[ends])
+    on = rng.random(k) < 0.05  # points on a segment, d = 0
+    points[on] = qa[on] + rng.random((int(on.sum()), 1)) * (qb[on] - qa[on])
+    # w . u = -5e-324 over u . u = 4: t underflows to -0.0, which the clamp keeps
+    qa[:8], qb[:8], points[:8] = 0.0, [2.0, 0.0, 0.0], [-2.5e-324, 1.0, 0.5]
+    qb[8:16] = qa[8:16]  # zero-length segments
+    qa[16:24], qb[16:24] = -0.0, [[-0.0, 0.0, 0.0]]  # a -0.0 segment at the origin
+    u = (qb - qa).T
+    uu = np.maximum(np.add.reduce(u * u, axis=0, initial=0.0), 1e-300)
+    t, gap, d = segment_gaps(qa.T, u, uu, points.T)  # row c: segment c against point c
+    gap = gap.T
+    assert np.signbit(t[:8]).all() and (t[:8] == 0.0).all()
+    assert (t == 0.0).sum() > 1000 and (t == 1.0).sum() > 1000 and (d == 0.0).sum() > 100
+    rows = zip(qa.tolist(), qb.tolist(), points.tolist())
+    bad = []
+    for c, (a, b, p) in enumerate(rows):
+        ft, fgap, fd = segment_gap(a, b, p)
+        if not same_bits([ft, *fgap, fd], [t[c], *gap[c], d[c]]):
+            bad.append(c)
+    assert not bad, f"premise broken: the float segment_gap differs from segment_gaps on {len(bad)} of {k} rows"
 
 
 def test_premise_step_length_sums_from_the_left():

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import oracles
 from conexplore import cli, connectivity, harness, sim, world
 from conexplore.behavior import SECONDARY
 from conexplore.dynamics import SimulationFault
@@ -76,24 +77,66 @@ def test_simulation_runs_the_tested_laws(two_explorers, monkeypatch):
 
 def test_simulation_runs_the_tested_kernel(monkeypatch):
     # adjacency and the connectivity field, at the names conexplore.sim calls,
-    # must both reach the segment-obstacle kernel that tests/test_world.py checks
-    calls = {}
-    for module in (world, connectivity):
-        kernel = module.segment_gaps
+    # must both reach the segment-obstacle kernel that
+    # tests/test_exact_kernels.py checks against segment_gaps: the float
+    # segment_gap that ObstacleView evaluates its listed points with
+    calls = []
+    kernel = world.segment_gap
 
-        def counted(*args, _name=module.__name__, _kernel=kernel):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _kernel(*args)
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
 
-        monkeypatch.setattr(module, "segment_gaps", counted)
+    monkeypatch.setattr(world, "segment_gap", counted)
     sensing = world.SensingParams(**TWO_EXPLORERS["sensing"])
     # robots 0 and 1 face each other through the wall; robot 2 links them over it
     wall = world.ObstacleSet(world.sample_box([2.9, -2, -2], [3.1, 2, 2], 0.25))
     q = np.array([[0.0, 0.0, 0.0], [6.0, 0.0, 0.0], [3.0, 4.5, 0.0]])
     adj = sim.adjacency(q, wall, sensing)
+    by_adjacency = len(calls)
     state = sim.evaluate_field(q, wall, sensing, connectivity.ConnectivityParams())
     assert not adj[0, 1] and state.W[0, 1] == 0.0
-    assert calls == {"conexplore.world": 1, "conexplore.connectivity": 1}
+    assert by_adjacency > 0 and len(calls) > by_adjacency
+
+
+def test_walled_replay_matches_brute_force(monkeypatch):
+    # every field call and adjacency of a walled trial slice, fed by the
+    # simulation's one obstacle view, against the brute force over every
+    # point, bit for bit on obst_f, obst_d, obst_g and W
+    with open("scenarios/batch_walled.json") as fh:
+        path = json.load(fh)["scenario"]
+    scenario = dataclasses.replace(harness.load_scenario(path, seed=3, connectors=4), timeout=12.0)
+    seen = {"field": 0, "adjacency": 0, "off": 0, "renewals": 0}
+    factors, adjacency, renew = connectivity.WeightFactors, sim.adjacency, world.ObstacleView._renew
+
+    def checked_factors(q, obstacles, p, view):
+        wf = factors(q, obstacles, p, view)
+        f, fd, g = oracles.obstacle_factors(q, wf.range_f > 0.0, obstacles, p)
+        W = wf.range_f * f * np.outer(wf.P, wf.P)
+        W.flat[:: len(q) + 1] = 0.0
+        assert wf.obst_f.tobytes() == f.tobytes() and wf.obst_d.tobytes() == fd.tobytes()
+        assert wf.obst_g.tobytes() == g.tobytes() and wf.weight_matrix().tobytes() == W.tobytes()
+        seen["field"] += 1
+        seen["off"] += int((f < 1.0).sum()) // 2
+        return wf
+
+    def checked_adjacency(q, obstacles, p, view):
+        adj = adjacency(q, obstacles, p, view)
+        assert np.array_equal(adj, oracles.adjacency(q, obstacles, p))
+        seen["adjacency"] += 1
+        return adj
+
+    def counted_renew(view, q):
+        seen["renewals"] += 1
+        return renew(view, q)
+
+    monkeypatch.setattr(connectivity, "WeightFactors", checked_factors)
+    monkeypatch.setattr(sim, "adjacency", checked_adjacency)
+    monkeypatch.setattr(world.ObstacleView, "_renew", counted_renew)
+    metrics, result = harness.run_trial(scenario)
+    assert result.fault is None
+    assert seen["field"] == 1200 and seen["adjacency"] == 121
+    assert seen["renewals"] > 10 and seen["off"] > 100, seen
 
 
 def test_path_queries_run_the_tested_kernel(two_explorers, monkeypatch):

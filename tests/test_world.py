@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from conexplore.connectivity import WeightFactors
 from conexplore.world import (
     ObstacleSet,
+    ObstacleView,
     SensingParams,
     adjacency,
     rasterize,
@@ -15,6 +20,9 @@ from oracles import line_of_sight_clearance
 P = SensingParams(
     R_s=6.0, R_s_inner=2.5, R_o=0.75, R_o_outer=1.75, R_c=1.0, R_c_outer=2.5, R_m=4.0
 )
+# R_m < R_s/2 + R_o_outer: a point near the middle of a long segment may lie
+# beyond R_m of both ends, so the R_m test changes factors
+SHORT_SIGHT = dataclasses.replace(P, R_m=1.0)
 
 
 def positions_strategy(n):
@@ -106,8 +114,8 @@ class TestNeighbors:
         assert not adj.diagonal().any()
 
     def test_matches_brute_force_near_wall(self):
-        # pairs the clearance bound prunes, pairs it keeps and blocked pairs
-        # all occur; each edge must match the per-pair line-of-sight test
+        # pairs out of range, visible pairs and blocked pairs all occur; each
+        # edge must match the per-pair line-of-sight test
         obs = ObstacleSet(sample_box([1.9, -3, -3], [2.1, 3, 3], 0.3))
         rng = np.random.default_rng(7)
         seen = np.zeros(2, dtype=int)
@@ -121,6 +129,84 @@ class TestNeighbors:
                     assert adj[i, j] == visible
                     seen += [in_range and not visible, visible]
         assert seen.min() > 100
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def check_view(q, obstacles, p, view):
+    """The view-fed obstacle factors, W and adjacency at q against the brute
+    force over every point, bit for bit."""
+    wf = WeightFactors(q, obstacles, p, view)
+    f, fd, g = oracles.obstacle_factors(q, wf.range_f > 0.0, obstacles, p)
+    W = wf.range_f * f * np.outer(wf.P, wf.P)
+    W.flat[:: len(q) + 1] = 0.0
+    assert same_bits(wf.obst_f, f) and same_bits(wf.obst_d, fd) and same_bits(wf.obst_g, g)
+    assert same_bits(wf.weight_matrix(), W)
+    assert np.array_equal(adjacency(q, obstacles, p, view), oracles.adjacency(q, obstacles, p))
+    return wf
+
+
+class TestObstacleView:
+    def test_segment_through_a_point(self):
+        q = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        obs = ObstacleSet([[5.0, 5.0, 0.0], [1.0, 0.0, 0.0]])
+        wf = check_view(q, obs, P, ObstacleView(obs, P))
+        assert wf.obst_f[0, 1] == 0.0 and wf.weight_matrix()[0, 1] == 0.0
+        assert not wf.obst_g.any()
+
+    def test_zero_length_segment(self):
+        q = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [4.0, 1.0, 1.0]])
+        obs = ObstacleSet([[1.0, 2.5, 1.0], [1.0, 1.5, 1.0], [2.5, 1.0, 1.0]])
+        linked = np.array([[False, True, True], [True, False, False], [True, False, False]])
+        hits = ObstacleView(obs, P).nearest(q, linked, P.R_o_outer, P.R_m)
+        t, gap, d = oracles.segment_gaps(q[[0, 0]], q[[1, 2]], obs.points)
+        k = d.argmin(axis=1)
+        assert [h[:2] for h in hits] == [(0, 1), (0, 2)]
+        for r, (_i, _j, dh, th, gh) in enumerate(hits):
+            assert same_bits([dh, th, *gh], [d[r, k[r]], t[r, k[r]], *gap[r, k[r]]])
+        assert np.array_equal(adjacency(q, obs, P), oracles.adjacency(q, obs, P))
+
+    def test_tie_goes_to_the_lower_point_index(self):
+        # renewed where point 1 is nearer, then queried where both points are
+        # at 1.0 from the segment: point 0 must win, as argmin over all points
+        obs = ObstacleSet([[1.0, -1.0, 0.0], [1.0, 1.0, 0.0]])
+        view = ObstacleView(obs, P)
+        q0 = np.array([[0.0, 0.1, 0.0], [2.0, 0.1, 0.0]])
+        linked = ~np.eye(2, dtype=bool)
+        assert view.nearest(q0, linked, P.R_o_outer, P.R_m)[0][4] == [0.0, -0.9, 0.0]
+        q = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        ((_i, _j, d, _t, gap),) = view.nearest(q, linked, P.R_o_outer, P.R_m)
+        assert d == 1.0 and gap == [0.0, 1.0, 0.0]
+        check_view(q, obs, P, view)
+
+    @pytest.mark.parametrize("p", [P, SHORT_SIGHT], ids=["P", "short_sight"])
+    def test_random_walk_between_renewals(self, p):
+        # one view over a walk of small steps: pairs enter and leave range and
+        # come near and off the wall between renewals, and every call matches
+        # the brute force; with the short sight, the R_m test decides pairs
+        rng = np.random.default_rng(30)
+        obs = ObstacleSet(np.concatenate([sample_box([1.9, -3, -3], [2.1, 3, 3], 0.3), rng.uniform(-3, 7, (40, 3))]))
+        view = ObstacleView(obs, p)
+        renew = view._renew
+        renewals = []
+        view._renew = lambda q: renewals.append(1) or renew(q)
+        q = rng.uniform([-2.0, -3.0, -3.0], [6.0, 3.0, 3.0], size=(6, 3))
+        changed = off = unseen = 0
+        in_range = None
+        for _ in range(300):
+            q = q + rng.normal(size=q.shape) * 0.04
+            count = len(renewals)
+            wf = check_view(q, obs, p, view)
+            now = wf.range_f > 0.0
+            changed += in_range is not None and len(renewals) == count and not np.array_equal(now, in_range)
+            off += (wf.obst_f < 1.0).sum() // 2
+            blind = oracles.obstacle_factors(q, now, obs, dataclasses.replace(p, R_m=np.inf))[0]
+            unseen += (blind != wf.obst_f).sum() // 2
+            in_range = now
+        assert len(renewals) > 5 and changed > 5 and off > 100
+        assert unseen > 100 if p is SHORT_SIGHT else unseen == 0
 
 
 class TestRasterize:
